@@ -29,6 +29,7 @@ from .exceptions import (
     ConfigError,
     DimensionError,
     GenerationError,
+    InvariantError,
     PostselectionError,
     QfitError,
     SchemaError,

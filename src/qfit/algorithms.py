@@ -22,7 +22,7 @@ attached for reference.
 
 Learning samples the parameter state to find the heaviest support,
 refits on that support alone, reconstructs the reduced parameter state
-by tomography, and re-reports quality.
+by tomography, and reports quality from that same reduced preparation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tomography
 from .cost import ALG_LEARN, ALG_QUALITY, CostQuery, CostReport, cost_model
-from .exceptions import ConfigError, DimensionError, PostselectionError
+from .exceptions import ConfigError, DimensionError, InvariantError, PostselectionError
 from .linalg import (
     EigDecomposition,
     EmbeddedOperator,
@@ -43,7 +43,7 @@ from .linalg import (
     embed,
     sparsity_profile,
 )
-from .problems import FitProblem, classical_fit, restrict_columns
+from .problems import FitProblem, FitSolution, classical_fit, restrict_columns
 from .seeding import STREAM_SUPPORT, STREAM_TOMOGRAPHY, derive_seed
 from .sim import (
     MODE_INVERT,
@@ -111,7 +111,7 @@ class PreparationResult:
     system_vector: np.ndarray
     passes: tuple[PhaseEstimationPass, ...]
     fidelity_vs_oracle: float
-    lambda_exact: np.ndarray
+    solution: FitSolution
 
 
 def auto_t0(sigma_max: float, kappa: float, epsilon: float, clock_size: int) -> float:
@@ -178,24 +178,22 @@ def prepare_fit_parameters(
         op = embed(problem.design_matrix)
     if eig is None:
         eig = eig_hermitian(op)
-    layout = RegisterLayout(
-        clock_size=spec.stages[0].clock_size, system_dim=op.dim, flag_count=1
-    )
+    layout = RegisterLayout(clock_size=spec.stages[0].clock_size, system_dim=op.dim)
     state = prepare_data_state(problem, layout)
     passes: list[PhaseEstimationPass] = []
     for config in spec.stages:
         state, info = apply_hermitian_via_pe(state, op, config, eig=eig)
         passes.append(info)
     out_vec = extract_system_vector(state)
-    lam = classical_fit(problem).lambda_
-    target = _embedded_lambda_direction(problem, lam)
+    solution = classical_fit(problem)
+    target = _embedded_lambda_direction(problem, solution.lambda_)
     fidelity = float(abs(np.vdot(target, out_vec)) ** 2)
     return PreparationResult(
         state=state,
         system_vector=out_vec,
         passes=tuple(passes),
         fidelity_vs_oracle=fidelity,
-        lambda_exact=lam,
+        solution=solution,
     )
 
 
@@ -221,12 +219,10 @@ class FitReport:
     settings: RunSettings
     delta: float
 
-    @property
-    def e_exact_reference(self) -> float:
-        return self.exact_normalized_residual
 
-
-def _quality_cost(problem: FitProblem, settings: RunSettings, delta: float) -> CostReport:
+def _cost(
+    problem: FitProblem, epsilon: float, delta: float, algorithm: str, m_prime: int
+) -> CostReport:
     cond = condition_estimate(problem.design_matrix)
     prof = sparsity_profile(problem.design_matrix, tol=1e-12)
     return cost_model(
@@ -234,11 +230,18 @@ def _quality_cost(problem: FitProblem, settings: RunSettings, delta: float) -> C
             n=max(problem.n, 2),
             s=prof.s,
             kappa=max(cond.kappa, 1.0),
-            epsilon=settings.epsilon,
+            epsilon=epsilon,
             delta=delta,
-            algorithm=ALG_QUALITY,
+            m_prime=m_prime,
+            algorithm=algorithm,
         )
     )
+
+
+def _is_degenerate(problem: FitProblem) -> bool:
+    """True when y is orthogonal to the column space of F (F^dag y = 0)."""
+    f_dag_y = problem.design_matrix.conj().T @ problem.y
+    return bool(np.linalg.norm(f_dag_y) < 1e-12)
 
 
 def estimate_fit_quality(
@@ -253,18 +256,33 @@ def estimate_fit_quality(
     """
     op = embed(problem.design_matrix)
     eig = eig_hermitian(op)
-    y_vec = data_state_vector(problem)
+    spec = prep = None
+    if not _is_degenerate(problem):
+        spec = make_pipeline_spec(eig, settings)
+        prep = prepare_fit_parameters(problem, spec, op=op, eig=eig)
+    return _report_fit_quality(problem, settings, plan, op, eig, spec, prep)
 
-    f_dag_y = problem.design_matrix.conj().T @ problem.y
-    degenerate = bool(np.linalg.norm(f_dag_y) < 1e-12)
-    if degenerate:
+
+def _report_fit_quality(
+    problem: FitProblem,
+    settings: RunSettings,
+    plan: SwapTestPlan,
+    op: EmbeddedOperator,
+    eig: EigDecomposition,
+    spec: PipelineSpec | None,
+    prep: PreparationResult | None,
+) -> FitReport:
+    """Project a prepared parameter state, swap-test it against y, report.
+
+    ``prep`` (with its ``spec``) is None for a degenerate problem.
+    """
+    y_vec = data_state_vector(problem)
+    if prep is None:
         fitted_vec = np.zeros_like(y_vec)
         fitted_vec[0] = 1.0  # orthogonal placeholder; overlap with y is 0
         passes: tuple[PhaseEstimationPass, ...] = ()
         lambda_fidelity = float("nan")
     else:
-        spec = make_pipeline_spec(eig, settings)
-        prep = prepare_fit_parameters(problem, spec, op=op, eig=eig)
         project_config = PhaseEstimationConfig(
             clock_size=settings.clock_size,
             t0=spec.stages[0].t0,
@@ -285,9 +303,12 @@ def estimate_fit_quality(
     e_bound = 2.0 * (1.0 - overlap_abs)
     exact_residual = 1.0 - overlap_exact
     # Bound identity 2*(1-ov) - (1-ov^2) = (1-ov)^2 >= 0, checked on the
-    # exact values every run.
+    # exact values every run; only a NaN overlap can fail it.
     ov = math.sqrt(max(overlap_exact, 0.0))
-    assert 2.0 * (1.0 - ov) >= (1.0 - ov**2) - 1e-12
+    if not 2.0 * (1.0 - ov) >= (1.0 - ov**2) - 1e-12:
+        raise InvariantError(
+            f"residual bound identity fails at exact overlap {overlap_exact!r}"
+        )
 
     return FitReport(
         overlap_sq_estimate=swap.overlap_sq_estimate,
@@ -298,10 +319,10 @@ def estimate_fit_quality(
         lambda_fidelity=lambda_fidelity,
         swap=swap,
         passes=passes,
-        degenerate_fit=degenerate,
+        degenerate_fit=prep is None,
         total_shots=plan.shots,
         swap_seed=plan.seed,
-        cost=_quality_cost(problem, settings, plan.delta),
+        cost=_cost(problem, settings.epsilon, plan.delta, ALG_QUALITY, 1),
         settings=settings,
         delta=plan.delta,
     )
@@ -377,37 +398,22 @@ def learn_sparse_fit(
         raise PostselectionError("reduced parameter sector carries no weight")
     param_vec = param_vec / param_norm
 
-    # The simulator is deterministic, so repeated preparations yield the
-    # same amplitudes; preparations are counted rather than recomputed.
-    consumed = 0
-
-    def preparer() -> np.ndarray:
-        nonlocal consumed
-        consumed += 1
-        return param_vec
-
-    lam_red = classical_fit(reduced).lambda_
+    lam_red = red_prep.solution.lambda_
     oracle_dir = lam_red / np.linalg.norm(lam_red)
+    # The simulator is deterministic, so every repeated preparation yields
+    # the same amplitudes.
     reconstruction, records = tomography.reconstruct_pure_state(
-        preparer, budget, derive_seed(seed, STREAM_TOMOGRAPHY), oracle=oracle_dir
+        lambda: param_vec, budget, derive_seed(seed, STREAM_TOMOGRAPHY), oracle=oracle_dir
     )
 
-    fit_report = estimate_fit_quality(reduced, settings, plan)
-    full_residual = classical_fit(problem).residual_energy
-    reduced_residual = classical_fit(reduced).residual_energy
-    cond = condition_estimate(problem.design_matrix)
-    prof = sparsity_profile(problem.design_matrix, tol=1e-12)
-    learn_cost = cost_model(
-        CostQuery(
-            n=max(problem.n, 2),
-            s=prof.s,
-            kappa=max(cond.kappa, 1.0),
-            epsilon=settings.epsilon,
-            delta=plan.delta,
-            m_prime=m_prime,
-            algorithm=ALG_LEARN,
-        )
+    # A reduced problem with |F'^dag y| < 1e-12 still prepares, but gets the
+    # degenerate fit report, as estimate_fit_quality would give it.
+    reported_prep = None if _is_degenerate(reduced) else red_prep
+    fit_report = _report_fit_quality(
+        reduced, settings, plan, red_op, red_eig, red_spec, reported_prep
     )
+    full_residual = prep.solution.residual_energy
+    reduced_residual = red_prep.solution.residual_energy
     return LearnReport(
         recovered_support=support,
         support_counts=tuple(int(c) for c in param_counts),
@@ -415,13 +421,13 @@ def learn_sparse_fit(
         reconstruction=reconstruction,
         setting_records=tuple(records),
         budget=budget,
-        preparations_consumed=consumed,
+        preparations_consumed=sum(r.repetitions for r in records),
         fit_report=fit_report,
         exact_full_residual=full_residual,
         exact_reduced_residual=reduced_residual,
         truncation_degraded=bool(reduced_residual > full_residual + 1e-9),
         seed=seed,
-        cost=learn_cost,
+        cost=_cost(problem, settings.epsilon, plan.delta, ALG_LEARN, m_prime),
     )
 
 

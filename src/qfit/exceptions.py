@@ -35,3 +35,7 @@ class TomographyError(QfitError):
 
 class SchemaError(QfitError):
     """A JSON artifact does not match the expected schema."""
+
+
+class InvariantError(QfitError):
+    """A numerical identity the pipeline relies on failed to hold."""

@@ -73,12 +73,6 @@ class EmbeddedOperator:
     def dim(self) -> int:
         return self.m + self.n
 
-    def param_slice(self) -> slice:
-        return slice(0, self.m)
-
-    def data_slice(self) -> slice:
-        return slice(self.m, self.m + self.n)
-
 
 @dataclass(frozen=True)
 class EigDecomposition:

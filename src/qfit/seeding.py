@@ -1,23 +1,24 @@
 """Deterministic seed derivation.
 
-A run is controlled by one master seed.  Every randomized stage draws
-from its own stream, derived as SeedSequence([master, stream_index]), so
-adding shots to one stage never perturbs another and reruns from a
-stored report reproduce every stream bit for bit.
+A run is controlled by one master seed.  Every randomized stage of a
+run draws from its own stream, derived as SeedSequence([master,
+stream_index]), so adding shots to one stage never perturbs another and
+reruns from a stored report reproduce every stream bit for bit.
 
 Stream indices (the documented counter scheme):
 
-    0  problem generation
     1  support sampling (computational-basis histogram)
     2  swap test
     3  tomography
+
+Problem generation uses no derived stream: ``problems.generate_problem``
+seeds its generator with the master seed itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STREAM_PROBLEM = 0
 STREAM_SUPPORT = 1
 STREAM_SWAP = 2
 STREAM_TOMOGRAPHY = 3

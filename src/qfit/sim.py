@@ -3,7 +3,7 @@
 Registers and layout
 --------------------
 A simulator state spans three registers, stored as a complex array of
-shape (T, D, 2**flags):
+shape (T, D, 2):
 
 * clock: T basis states (T a power of two >= 2), axis 0.  Before the
   Fourier transform the index is the time step tau; after it, the
@@ -74,15 +74,12 @@ def _is_power_of_two(n: int) -> bool:
 class RegisterLayout:
     clock_size: int
     system_dim: int
-    flag_count: int = 1
 
     def __post_init__(self):
         if not _is_power_of_two(self.clock_size) or self.clock_size < 2:
             raise ConfigError(f"clock size {self.clock_size} must be a power of two >= 2")
         if self.system_dim < 1:
             raise DimensionError("system dimension must be >= 1")
-        if self.flag_count not in (0, 1):
-            raise ConfigError("flag count must be 0 or 1")
         if self.total_amplitudes > DEFAULT_AMPLITUDE_CAP:
             raise DimensionError(
                 f"state of {self.total_amplitudes} amplitudes exceeds cap "
@@ -91,13 +88,13 @@ class RegisterLayout:
 
     @property
     def total_amplitudes(self) -> int:
-        return self.clock_size * self.system_dim * (1 << self.flag_count)
+        return self.clock_size * self.system_dim * 2
 
 
 @dataclass(frozen=True)
 class QuantumState:
     layout: RegisterLayout
-    amplitudes: np.ndarray  # shape (T, D, 2**flag_count); do not mutate
+    amplitudes: np.ndarray  # shape (T, D, 2); do not mutate
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -146,10 +143,6 @@ class PhaseEstimationPass:
     flag_probability: float
     clock_zero_probability: float
     oracle_distance: float
-
-    @property
-    def success_probability(self) -> float:
-        return self.flag_probability
 
 
 def validate_config(config: PhaseEstimationConfig, eigenvalues) -> None:
@@ -203,7 +196,7 @@ def prepare_data_state(problem: FitProblem, layout: RegisterLayout) -> QuantumSt
         raise DimensionError(
             f"layout system dim {layout.system_dim} != problem dim {dim}"
         )
-    amp = np.zeros((layout.clock_size, dim, 1 << layout.flag_count), dtype=complex)
+    amp = np.zeros((layout.clock_size, dim, 2), dtype=complex)
     amp[0, m : m + problem.n, 0] = problem.y
     return QuantumState(layout=layout, amplitudes=amp)
 
@@ -212,7 +205,7 @@ def state_from_system_vector(vector, layout: RegisterLayout) -> QuantumState:
     v = as_complex_vector(vector)
     if v.size != layout.system_dim:
         raise DimensionError("system vector length does not match layout")
-    amp = np.zeros((layout.clock_size, v.size, 1 << layout.flag_count), dtype=complex)
+    amp = np.zeros((layout.clock_size, v.size, 2), dtype=complex)
     amp[0, :, 0] = v
     return QuantumState(layout=layout, amplitudes=amp)
 
@@ -340,8 +333,6 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
     Maps |0> -> c|0> + w|1> and |1> -> -w|0> + c|1> with c = sqrt(1-w^2),
     so the operation is unitary regardless of the incoming flag state.
     """
-    if state.layout.flag_count != 1:
-        raise ConfigError("controlled rotation needs a flag qubit")
     w = rotation_weights(config)[:, None]
     c = np.sqrt(1.0 - w**2)
     amp = state.amplitudes
@@ -368,8 +359,6 @@ def uncompute_clock(
 
 def postselect_flag(state: QuantumState, value: int = 1) -> tuple[QuantumState, float]:
     """Project onto the given flag value and renormalize; exact probability."""
-    if state.layout.flag_count != 1:
-        raise ConfigError("state has no flag qubit")
     if value not in (0, 1):
         raise ConfigError("flag value must be 0 or 1")
     branch = state.amplitudes[:, :, value]
@@ -554,15 +543,3 @@ def measure_computational(state, shots: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, marginal / total)
 
-
-def state_to_json(state: QuantumState) -> dict:
-    """Debug dump: layout plus flattened amplitudes (clock, system, flag order)."""
-    flat = state.amplitudes.reshape(-1)
-    return {
-        "layout": {
-            "clockSize": state.layout.clock_size,
-            "systemDim": state.layout.system_dim,
-            "flagCount": state.layout.flag_count,
-        },
-        "amplitudes": [[float(z.real), float(z.imag)] for z in flat],
-    }

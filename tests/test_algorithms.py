@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import qfit.algorithms
+from qfit import tomography
 from qfit.algorithms import (
     RunSettings,
     VARIANT_FUSED,
@@ -17,9 +19,9 @@ from qfit.algorithms import (
     select_support,
     support_shot_count,
 )
-from qfit.exceptions import ConfigError, DimensionError
+from qfit.exceptions import ConfigError, DimensionError, InvariantError
 from qfit.linalg import eig_hermitian, embed
-from qfit.problems import ProblemSpec, generate_problem, normalize_problem
+from qfit.problems import ProblemSpec, generate_problem, normalize_problem, restrict_columns
 from qfit.sim import MODE_INVERT, MODE_MULTIPLY, SwapTestPlan, WINDOW_SINE
 
 from conftest import commensurate_problem
@@ -182,6 +184,11 @@ class TestEstimateFitQuality:
         assert len(obj["successProbabilities"]) == 4  # 3 stages + projection pass
         assert obj["costModel"]["queries"] > 0
 
+    def test_bound_identity_failure_is_a_qfit_error(self, worked_instance, monkeypatch):
+        monkeypatch.setattr(qfit.algorithms, "exact_overlap_sq", lambda a, b: float("nan"))
+        with pytest.raises(InvariantError):
+            estimate_fit_quality(worked_instance, COMMENSURATE, SwapTestPlan(shots=10, seed=0))
+
 
 class TestLearnSparseFit:
     def planted(self, seed, m=8, support=(2, 5), mass=0.98):
@@ -249,3 +256,55 @@ class TestLearnSparseFit:
         assert obj["budget"]["totalShots"] == report.budget.total_shots
         assert obj["fitReport"]["kind"] == "fit-report"
         assert len(obj["settingRecords"]) >= 3
+
+    def test_each_pass_eigensolve_and_oracle_solve_runs_once(self, monkeypatch):
+        calls = {"apply_hermitian_via_pe": 0, "eig_hermitian": 0, "classical_fit": 0}
+        for name in calls:
+            original = getattr(qfit.algorithms, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(qfit.algorithms, name, counted)
+        prepared = 0
+        reconstruct = tomography.reconstruct_pure_state
+
+        def reconstruct_counting(preparer, *args, **kwargs):
+            def counted_preparer():
+                nonlocal prepared
+                prepared += 1
+                return preparer()
+
+            return reconstruct(counted_preparer, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "reconstruct_pure_state", reconstruct_counting)
+        report = learn_sparse_fit(
+            self.planted(seed=21), 2, self.settings(), SwapTestPlan(shots=500, seed=5), seed=21
+        )
+        # 3 passes on the full problem, 3 on the reduced one, 1 projection.
+        assert calls == {"apply_hermitian_via_pe": 7, "eig_hermitian": 2, "classical_fit": 2}
+        assert report.preparations_consumed == prepared == report.budget.settings
+
+    def test_fit_report_is_the_reduced_problems_quality_report(self):
+        prob = self.planted(seed=33)
+        plan = SwapTestPlan(shots=500, seed=6)
+        for variant in (VARIANT_THREE_STAGE, VARIANT_FUSED):
+            settings = RunSettings(clock_size=256, window=WINDOW_SINE, variant=variant)
+            report = learn_sparse_fit(prob, 2, settings, plan, seed=33)
+            reduced = restrict_columns(prob, report.recovered_support)
+            expected = estimate_fit_quality(reduced, settings, plan)
+            assert fit_report_to_json(report.fit_report) == fit_report_to_json(expected)
+
+    def test_near_degenerate_support_gets_the_degenerate_fit_report(self):
+        # lambda = (2, 1), but y is orthogonal to column 0 up to 1e-14, so the
+        # reduced problem prepares while its fit report is the degenerate one.
+        prob = normalize_problem([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]], [1e-14, 1.0, 0.0])
+        settings = RunSettings(clock_size=256)
+        plan = SwapTestPlan(shots=100, seed=1)
+        report = learn_sparse_fit(prob, 1, settings, plan, seed=0)
+        assert report.recovered_support == (0,)
+        assert report.fit_report.degenerate_fit
+        assert report.fit_report.passes == ()
+        expected = estimate_fit_quality(restrict_columns(prob, (0,)), settings, plan)
+        assert fit_report_to_json(report.fit_report) == fit_report_to_json(expected)

@@ -552,14 +552,3 @@ def test_phase_distance_invariant_to_global_phase(rng):
     v = random_complex_vector(rng, 5)
     assert phase_distance(v, np.exp(0.7j) * v) <= 1e-12
 
-
-def test_state_dump_roundtrips_layout(rng):
-    from qfit.sim import state_to_json
-
-    layout = RegisterLayout(clock_size=4, system_dim=3)
-    state = state_from_system_vector(random_complex_vector(rng, 3), layout)
-    obj = state_to_json(state)
-    assert obj["layout"] == {"clockSize": 4, "systemDim": 3, "flagCount": 1}
-    assert len(obj["amplitudes"]) == 4 * 3 * 2
-    total = sum(re * re + im * im for re, im in obj["amplitudes"])
-    assert total == pytest.approx(1.0, abs=1e-12)
