@@ -15,7 +15,7 @@ the worst float differences and exits 1 on any disagreement.
 The set mirrors the benchmark's shapes: ``run-wide`` (D=64, T=1024),
 ``run-long-clock`` (D=8, T=65536) and ``learn-planted`` (n=24, m=16,
 T=256), each over both windows and both variants, plus the small
-``sweep-small`` configurations.
+``sweep-small`` configurations (read from ``perfbench/workloads.py``).
 """
 
 from __future__ import annotations
@@ -28,25 +28,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-HERE_SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+HERE_SRC = REPO / "src"
 WINDOWS = ("uniform", "sine")
 VARIANTS = ("three-stage", "fused")
 
-# (kind, n, m, T, variant, window) of the small configurations.
-SMALL = (
-    ("poly", 4, 2, 16, "three-stage", "uniform"),
-    ("fourier", 8, 4, 32, "fused", "sine"),
-    ("random", 12, 6, 64, "three-stage", "sine"),
-    ("poly", 10, 2, 128, "fused", "uniform"),
-    ("fourier", 16, 8, 256, "three-stage", "uniform"),
-    ("random", 6, 3, 16, "fused", "sine"),
-    ("poly", 16, 2, 64, "three-stage", "sine"),
-    ("fourier", 4, 2, 128, "fused", "uniform"),
-    ("random", 16, 8, 256, "fused", "uniform"),
-    ("poly", 7, 2, 32, "fused", "sine"),
-    ("fourier", 12, 6, 16, "three-stage", "sine"),
-    ("random", 8, 4, 256, "three-stage", "uniform"),
-)
+sys.path.insert(0, str(REPO / "perfbench"))
+from workloads import SWEEP_CONFIGS  # noqa: E402  (kind, n, m, T, variant, window)
 
 
 def invocations(work: Path) -> list[list[str]]:
@@ -81,7 +69,7 @@ def invocations(work: Path) -> list[list[str]]:
         problem = generate(f"learn{j}", "random", 24, 16, 300 + j, "--planted", planted)
         each_setting(f"learn{j}", "learn", problem, j, "-T", "256", "--shots", "200",
                      "--tom-epsilon", "0.05", "--m-prime", str(m_prime))
-    for j, (kind, n, m, clock, variant, window) in enumerate(SMALL):
+    for j, (kind, n, m, clock, variant, window) in enumerate(SWEEP_CONFIGS):
         extra = ("--condition-target", "3.0") if kind == "random" else ()
         problem = generate(f"small{j}", kind, n, m, 400 + j, *extra)
         calls.append(["oracle", "--problem", problem, *out(f"small{j}-oracle")])
