@@ -3,26 +3,27 @@
     git archive <commit> --prefix=old/ | tar -x -C <dir>
     python3 scripts/compare_reports.py <dir>/old/src
 
-Runs one fixed set of ``qfit generate``, ``oracle``, ``run`` and ``learn``
-invocations, with fixed seeds, once against this repository's ``src`` and
-once against the given one.  Each side runs in its own interpreter that
-calls ``qfit.cli.main`` in-process, with BLAS pinned to ``--threads``
-threads.  Then every report pair is compared: strings, booleans,
-integers (counts, supports, shots) must be identical and floats must
-agree to ``--tol``, relative to the value where it exceeds 1.  Prints
-the worst float differences and exits 1 on any disagreement.
-
-The set mirrors the benchmark's shapes: ``run-wide`` (D=64, T=1024),
-``run-long-clock`` (D=8, T=65536) and ``learn-planted`` (n=24, m=16,
-T=256), each over both windows and both variants, plus the small
-``sweep-small`` configurations (read from ``perfbench/workloads.py``).
+Replays the first operations of each benchmark workload
+(``perfbench/workloads.py``, seed ``SEED``) with its input files, once
+against this repository's ``src`` and once against the given one.  The
+``run`` and ``learn`` operations of ``run-wide``, ``run-long-clock`` and
+``learn-planted`` run in all four window/variant settings, one of which
+is the workload's own; ``sweep-small``'s generate/oracle/run triples
+already cover both.  Each side runs in its own interpreter that calls
+``qfit.cli.main`` in-process, with BLAS pinned to ``--threads`` threads.
+Then every report pair is compared: strings, booleans, integers (counts,
+supports, shots) must be identical and floats must agree to ``TOL``,
+relative to the value where it exceeds 1.  Prints the worst float
+differences and exits 1 on any disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,63 +31,48 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 HERE_SRC = REPO / "src"
-WINDOWS = ("uniform", "sine")
-VARIANTS = ("three-stage", "fused")
+TOL = 1e-12
+SEED = 1
+# Operations replayed per workload: every input problem of run-wide,
+# run-long-clock and learn-planted once, and twelve sweep-small triples.
+OPS = {"run-wide": 4, "run-long-clock": 4, "learn-planted": 16, "sweep-small": 36}
+SETTINGS = tuple(itertools.product(("uniform", "sine"), ("three-stage", "fused")))
 
 sys.path.insert(0, str(REPO / "perfbench"))
-from workloads import SWEEP_CONFIGS  # noqa: E402  (kind, n, m, T, variant, window)
+from workloads import WORKLOADS  # noqa: E402
 
 
-def invocations(work: Path) -> list[list[str]]:
-    """CLI argument lists; each writes ``work/<name>.json``."""
-    calls: list[list[str]] = []
-
-    def out(name: str) -> list[str]:
-        return ["--out", str(work / f"{name}.json")]
-
-    def generate(name: str, kind: str, n: int, m: int, seed: int, *extra: str) -> str:
-        calls.append(["generate", "--kind", kind, "--n", str(n), "--m", str(m),
-                      "--seed", str(seed), *extra, *out(name)])
-        return str(work / f"{name}.json")
-
-    def each_setting(name: str, command: str, problem: str, seed: int, *extra: str):
-        for window in WINDOWS:
-            for variant in VARIANTS:
-                calls.append([command, "--problem", problem, "--window", window,
-                              "--variant", variant, "--seed", str(seed), *extra,
-                              *out(f"{name}-{window}-{variant}")])
-
-    for j in range(4):
-        problem = generate(f"wide{j}", "random", 40, 24, 100 + j, "--condition-target", "4.0")
-        each_setting(f"wide{j}", "run", problem, j, "-T", "1024", "--shots", "10000")
-    for j in range(4):
-        problem = generate(f"long{j}", "random", 6, 2, 200 + j, "--condition-target", "4.0")
-        each_setting(f"long{j}", "run", problem, j, "-T", "65536", "--shots", "10000",
-                     "--epsilon", "0.0005")
-    for j in range(16):
-        m_prime = 2 if j % 2 == 0 else 4
-        planted = ",".join(str((3 * j + 5 * k) % 16) for k in range(m_prime))
-        problem = generate(f"learn{j}", "random", 24, 16, 300 + j, "--planted", planted)
-        each_setting(f"learn{j}", "learn", problem, j, "-T", "256", "--shots", "200",
-                     "--tom-epsilon", "0.05", "--m-prime", str(m_prime))
-    for j, (kind, n, m, clock, variant, window) in enumerate(SWEEP_CONFIGS):
-        extra = ("--condition-target", "3.0") if kind == "random" else ()
-        problem = generate(f"small{j}", kind, n, m, 400 + j, *extra)
-        calls.append(["oracle", "--problem", problem, *out(f"small{j}-oracle")])
-        calls.append(["run", "--problem", problem, "-T", str(clock), "--window", window,
-                      "--variant", variant, "--shots", "1000", "--seed", str(j),
-                      *out(f"small{j}-run")])
-    return calls
+def invocations(work: Path):
+    """Yield ``(argv, written, name)``: run ``argv``, then keep file ``written`` as ``name``."""
+    for name, count in OPS.items():
+        workload = WORKLOADS[name]
+        inputs = workload.make_inputs(SEED, work / name)
+        for j, op in enumerate(inputs):
+            yield op.argv(), op.out, f"{name}-input{j}"
+        for i in range(count):
+            op = workload.op(inputs, SEED, i, work / name)
+            if name == "sweep-small":
+                yield op.argv(), op.out, f"{name}-{i:02d}-{op.command}"
+                continue
+            for window, variant in SETTINGS:
+                # The last value of a repeated option wins.
+                argv = [*op.argv(), "--window", window, "--variant", variant]
+                yield argv, op.out, f"{name}-{i:02d}-{window}-{variant}"
 
 
 def emit(work: Path) -> None:
-    """Write every report into ``work`` with the ``qfit`` on ``sys.path``."""
+    """Write every report into ``work/reports`` with the ``qfit`` on ``sys.path``."""
     import qfit.cli
 
-    for argv in invocations(work):
+    reports = work / "reports"
+    for name in OPS:
+        (work / name).mkdir(parents=True)
+    reports.mkdir()
+    for argv, written, name in invocations(work):
         code = qfit.cli.main.main(args=argv, prog_name="qfit", standalone_mode=False)
         if code not in (None, 0):
             raise SystemExit(f"qfit {' '.join(argv)} exited {code}")
+        shutil.copyfile(written, reports / f"{name}.json")
 
 
 def run_side(src: Path, work: Path, threads: int) -> None:
@@ -97,7 +83,7 @@ def run_side(src: Path, work: Path, threads: int) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def compare(a, b, path: str, tol: float, worst: list, faults: list) -> None:
+def compare(a, b, path: str, worst: list, faults: list) -> None:
     """Walk two JSON values; floats go to ``worst``, mismatches to ``faults``."""
     if isinstance(a, float) or isinstance(b, float):
         if isinstance(a, bool) or isinstance(b, bool) or not all(
@@ -111,20 +97,20 @@ def compare(a, b, path: str, tol: float, worst: list, faults: list) -> None:
             return
         diff = abs(a - b)
         worst.append((diff / max(1.0, abs(a)), diff, path))
-        if diff > tol * max(1.0, abs(a)):
+        if diff > TOL * max(1.0, abs(a)):
             faults.append(f"{path}: {a!r} vs {b!r} differ by {diff:.3g}")
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             faults.append(f"{path}: keys differ: {sorted(a.keys() ^ b.keys())}")
             return
         for key in a:
-            compare(a[key], b[key], f"{path}.{key}", tol, worst, faults)
+            compare(a[key], b[key], f"{path}.{key}", worst, faults)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             faults.append(f"{path}: lengths {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            compare(x, y, f"{path}[{i}]", tol, worst, faults)
+            compare(x, y, f"{path}[{i}]", worst, faults)
     elif type(a) is not type(b) or a != b:
         faults.append(f"{path}: {a!r} != {b!r}")
 
@@ -134,7 +120,6 @@ def main() -> int:
     parser.add_argument("other_src", nargs="?", type=Path,
                         help="the other tree's src directory")
     parser.add_argument("--threads", type=int, default=1, help="BLAS threads per side")
-    parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.emit is not None:
@@ -151,6 +136,7 @@ def main() -> int:
             work.mkdir()
             run_side(src, work, args.threads)
             work.rename(dest)
+        other, here = other / "reports", here / "reports"
         names = sorted(p.name for p in other.glob("*.json"))
         if names != sorted(p.name for p in here.glob("*.json")):
             print("the two trees wrote different report files")
@@ -159,7 +145,7 @@ def main() -> int:
         for name in names:
             a_bytes, b_bytes = (other / name).read_bytes(), (here / name).read_bytes()
             identical += a_bytes == b_bytes
-            compare(json.loads(a_bytes), json.loads(b_bytes), name, args.tol, worst, faults)
+            compare(json.loads(a_bytes), json.loads(b_bytes), name, worst, faults)
 
     print(f"{len(names)} reports, {identical} byte-identical, "
           f"{len(worst)} floats compared, BLAS threads {args.threads}")

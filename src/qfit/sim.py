@@ -341,13 +341,10 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
     """
     w = rotation_weights(config)[:, None]
     c = np.sqrt(1.0 - w**2)
-    amp0, amp1 = state.amplitudes[:, :, 0], state.amplitudes[:, :, 1]
-    new_amp = np.empty_like(state.amplitudes)
-    new0, new1 = new_amp[:, :, 0], new_amp[:, :, 1]
-    np.multiply(c, amp0, out=new0)
-    new0 -= w * amp1
-    np.multiply(w, amp0, out=new1)
-    new1 += c * amp1
+    amp = state.amplitudes
+    new_amp = np.empty_like(amp)
+    new_amp[:, :, 0] = c * amp[:, :, 0] - w * amp[:, :, 1]
+    new_amp[:, :, 1] = w * amp[:, :, 0] + c * amp[:, :, 1]
     return QuantumState(layout=state.layout, amplitudes=new_amp)
 
 
@@ -375,7 +372,7 @@ def postselect_flag(state: QuantumState, value: int = 1) -> tuple[QuantumState, 
     if prob <= 1e-300:
         raise PostselectionError(f"flag={value} branch has zero probability")
     new_amp = np.zeros_like(state.amplitudes)
-    np.divide(branch, np.sqrt(prob), out=new_amp[:, :, value])
+    new_amp[:, :, value] = branch / np.sqrt(prob)
     return QuantumState(layout=state.layout, amplitudes=new_amp), prob
 
 
@@ -386,7 +383,7 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
     if prob <= 1e-300:
         raise PostselectionError("clock |0> branch has zero probability")
     new_amp = np.zeros_like(state.amplitudes)
-    np.divide(branch, np.sqrt(prob), out=new_amp[0])
+    new_amp[0] = branch / np.sqrt(prob)
     return QuantumState(layout=state.layout, amplitudes=new_amp), prob
 
 

@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qfit.exceptions import ConfigError, DimensionError, PostselectionError
-from qfit.linalg import apply_matrix_function, eig_hermitian, embed
+from qfit.linalg import eig_hermitian, embed
 from qfit.problems import normalize_problem
 from qfit.sim import (
     MODE_INVERT,
@@ -22,7 +20,6 @@ from qfit.sim import (
     conditional_evolution,
     controlled_rotation,
     decode_eigenvalue,
-    default_rotation_scale,
     exact_overlap_sq,
     extract_system_vector,
     measure_computational,
@@ -41,7 +38,7 @@ from qfit.sim import (
     validate_config,
 )
 
-from conftest import commensurate_problem, random_complex_matrix, random_complex_vector
+from conftest import commensurate_problem, random_complex_vector
 
 PAULI_X = embed([[1.0]])  # [[0, 1], [1, 0]]
 
@@ -555,201 +552,3 @@ def test_phase_distance_invariant_to_global_phase(rng):
     v = random_complex_vector(rng, 5)
     assert phase_distance(v, np.exp(0.7j) * v) <= 1e-12
 
-
-
-# --- BLAS-path primitives against plain references ------------------------------
-#
-# The references below are the plain formulas the primitives are defined by:
-# unoptimized einsums, whole-slice expressions for the flag rotation and the
-# postselections, and sums over both clock and flag at once.  The primitives
-# reorder the same arithmetic, so they must agree to rounding.
-
-CLOCKS = st.sampled_from([2**k for k in range(1, 9)])
-TOL = 1e-12
-
-
-def _ref_conditional_evolution(state, eig, cfg, inverse=False):
-    t = state.layout.clock_size
-    sign = 1.0 if inverse else -1.0
-    phases = np.exp(1j * sign * np.outer(np.arange(t), eig.eigenvalues) * (cfg.t0 / t))
-    in_eigen = np.einsum("tdf,dj->tjf", state.amplitudes, eig.eigenvectors.conj())
-    in_eigen *= phases[:, :, None]
-    return _force_amp(state.layout, np.einsum("tjf,dj->tdf", in_eigen, eig.eigenvectors))
-
-
-def _ref_controlled_rotation(state, cfg):
-    w = rotation_weights(cfg)[:, None]
-    c = np.sqrt(1.0 - w**2)
-    amp = state.amplitudes
-    new = np.empty_like(amp)
-    new[:, :, 0] = c * amp[:, :, 0] - w * amp[:, :, 1]
-    new[:, :, 1] = w * amp[:, :, 0] + c * amp[:, :, 1]
-    return _force_amp(state.layout, new)
-
-
-def _ref_postselect_flag(state, value=1):
-    branch = state.amplitudes[:, :, value]
-    prob = float(np.vdot(branch, branch).real)
-    if prob <= 1e-300:
-        raise PostselectionError(f"flag={value} branch has zero probability")
-    new = np.zeros_like(state.amplitudes)
-    new[:, :, value] = branch / np.sqrt(prob)
-    return _force_amp(state.layout, new), prob
-
-
-def _ref_postselect_clock_zero(state):
-    branch = state.amplitudes[0]
-    prob = float(np.vdot(branch, branch).real)
-    if prob <= 1e-300:
-        raise PostselectionError("clock |0> branch has zero probability")
-    new = np.zeros_like(state.amplitudes)
-    new[0] = branch / np.sqrt(prob)
-    return _force_amp(state.layout, new), prob
-
-
-def _ref_extract_system_vector(state):
-    collapsed = state.amplitudes.sum(axis=(0, 2))
-    norm = np.linalg.norm(collapsed)
-    if abs(norm - 1.0) > 1e-6:
-        raise DimensionError("state is entangled with clock or flag")
-    return collapsed / norm
-
-
-def _ref_uncompute_clock(state, eig, cfg):
-    s = qft_clock(state, "inverse")
-    s = _ref_conditional_evolution(s, eig, cfg, inverse=True)
-    return reflect_clock_window(s, clock_window(cfg.clock_size, cfg.window))
-
-
-def _ref_pass(state, op, cfg, eig):
-    """``apply_hermitian_via_pe`` composed from the reference primitives."""
-    validate_config(cfg, eig.eigenvalues)
-    psi_in = _ref_extract_system_vector(state)
-    s = reflect_clock_window(state, clock_window(cfg.clock_size, cfg.window))
-    s = _ref_conditional_evolution(s, eig, cfg)
-    s = qft_clock(s, "forward")
-    s = _ref_controlled_rotation(s, cfg)
-    s = _ref_uncompute_clock(s, eig, cfg)
-    s, flag_prob = _ref_postselect_flag(s, 1)
-    s, clock_prob = _ref_postselect_clock_zero(s)
-    out = s.amplitudes[0, :, 1]
-    f = (lambda e: e) if cfg.mode == MODE_MULTIPLY else (lambda e: 1.0 / e)
-    exact = apply_matrix_function(eig, f, psi_in)
-    return out, flag_prob, clock_prob, phase_distance(out, exact / np.linalg.norm(exact))
-
-
-def _full_state(rng, t, d):
-    """Random complex amplitudes on every clock, system and flag index."""
-    amp = rng.normal(size=(t, d, 2)) + 1j * rng.normal(size=(t, d, 2))
-    return _force_amp(RegisterLayout(clock_size=t, system_dim=d), amp)
-
-
-def _random_eig(rng, d):
-    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return eig_hermitian((h + h.conj().T) / 2)
-
-
-def _assert_states_close(a, b):
-    assert a.amplitudes.shape == b.amplitudes.shape
-    assert np.max(np.abs(a.amplitudes - b.amplitudes), initial=0.0) <= TOL
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    t=CLOCKS,
-    d=st.integers(1, 24),
-    seed=st.integers(0, 2**32 - 1),
-    t0=st.floats(0.0, 50.0),
-    inverse=st.booleans(),
-)
-def test_conditional_evolution_matches_reference(t, d, seed, t0, inverse):
-    rng = np.random.default_rng(seed)
-    state = _full_state(rng, t, d)
-    eig = _random_eig(rng, d)
-    cfg = config(T=t, t0=t0)
-    _assert_states_close(
-        conditional_evolution(state, eig, cfg, inverse=inverse),
-        _ref_conditional_evolution(state, eig, cfg, inverse=inverse),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    t=CLOCKS,
-    d=st.integers(1, 24),
-    seed=st.integers(0, 2**32 - 1),
-    t0=st.floats(0.1, 50.0),
-    scale=st.floats(0.01, 2.0),
-    mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
-)
-def test_rotation_and_postselection_match_reference(t, d, seed, t0, scale, mode):
-    rng = np.random.default_rng(seed)
-    state = _full_state(rng, t, d)
-    cfg = config(T=t, t0=t0, C=scale, mode=mode)
-    _assert_states_close(controlled_rotation(state, cfg), _ref_controlled_rotation(state, cfg))
-    for value in (0, 1):
-        got, prob = postselect_flag(state, value)
-        ref, ref_prob = _ref_postselect_flag(state, value)
-        _assert_states_close(got, ref)
-        assert abs(prob - ref_prob) <= TOL * ref_prob
-    got, prob = postselect_clock_zero(state)
-    ref, ref_prob = _ref_postselect_clock_zero(state)
-    _assert_states_close(got, ref)
-    assert abs(prob - ref_prob) <= TOL * ref_prob
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    t=CLOCKS,
-    d=st.integers(1, 24),
-    seed=st.integers(0, 2**32 - 1),
-    shots=st.integers(1, 5000),
-)
-def test_reductions_match_reference(t, d, seed, shots):
-    rng = np.random.default_rng(seed)
-    # One populated branch: the clock-first sum adds the same nonzero terms.
-    amp = np.zeros((t, d, 2), dtype=complex)
-    amp[rng.integers(t), :, rng.integers(2)] = random_complex_vector(rng, d)
-    single = _force_amp(RegisterLayout(clock_size=t, system_dim=d), amp)
-    np.testing.assert_array_equal(
-        extract_system_vector(single), _ref_extract_system_vector(single)
-    )
-    # Every branch populated: the marginal agrees to rounding, the draw exactly.
-    full = _full_state(rng, t, d)
-    for state in (single, full):
-        marginal = (np.abs(state.amplitudes) ** 2).sum(axis=(0, 2))
-        np.testing.assert_array_equal(
-            measure_computational(state, shots, seed),
-            np.random.default_rng(seed).multinomial(shots, marginal / marginal.sum()),
-        )
-    with pytest.raises(DimensionError):
-        extract_system_vector(full)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    t=CLOCKS,
-    n=st.integers(1, 10),
-    m=st.integers(1, 10),
-    seed=st.integers(0, 2**32 - 1),
-    t0_share=st.floats(0.05, 0.99),
-    window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
-    mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
-)
-def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, window, mode):
-    rng = np.random.default_rng(seed)
-    op = embed(random_complex_matrix(rng, max(n, m), min(n, m), kappa_max=10.0))
-    eig = eig_hermitian(op)
-    e_max = float(np.max(np.abs(eig.eigenvalues)))
-    # t0 below the aliasing limit sigma_max * t0 / (2*pi) < T/2.
-    t0 = t0_share * np.pi * t / e_max
-    cfg = config(T=t, t0=t0, C=default_rotation_scale(mode, eig.eigenvalues),
-                 mode=mode, window=window)
-    layout = RegisterLayout(clock_size=t, system_dim=op.dim)
-    state = state_from_system_vector(random_complex_vector(rng, op.dim), layout)
-    out, info = apply_hermitian_via_pe(state, op, cfg, eig=eig)
-    ref_out, ref_flag, ref_clock, ref_distance = _ref_pass(state, op, cfg, eig)
-    assert phase_distance(extract_system_vector(out), ref_out) <= TOL
-    assert abs(info.flag_probability - ref_flag) <= TOL
-    assert abs(info.clock_zero_probability - ref_clock) <= TOL
-    assert abs(info.oracle_distance - ref_distance) <= TOL
