@@ -79,8 +79,6 @@ from .sim import (
     decode_eigenvalue,
     measure_computational,
     prepare_data_state,
-    prepare_sine_clock,
-    prepare_uniform_clock,
     swap_test,
 )
 from .tomography import (

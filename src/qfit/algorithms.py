@@ -41,6 +41,7 @@ from .linalg import (
     condition_estimate,
     eig_hermitian,
     embed,
+    nonzero_extent,
     sparsity_profile,
 )
 from .problems import FitProblem, FitSolution, classical_fit, restrict_columns
@@ -99,7 +100,6 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    variant: str
     stages: tuple[PhaseEstimationConfig, ...]
 
 
@@ -125,19 +125,15 @@ def auto_t0(sigma_max: float, kappa: float, epsilon: float, clock_size: int) -> 
     return 2.0 * np.pi * bins / sigma_max
 
 
-def make_pipeline_spec(
-    eig: EigDecomposition, settings: RunSettings, kappa: float | None = None
-) -> PipelineSpec:
+def make_pipeline_spec(eig: EigDecomposition, settings: RunSettings) -> PipelineSpec:
     """Instantiate per-stage configs for a spectrum and user settings."""
-    abs_nonzero = np.abs(eig.eigenvalues[np.abs(eig.eigenvalues) > 1e-12])
-    if abs_nonzero.size == 0:
+    extent = nonzero_extent(eig.eigenvalues)
+    if extent is None:
         raise ConfigError("operator has no nonzero eigenvalues")
-    sigma_max = float(abs_nonzero.max())
-    sigma_min = float(abs_nonzero.min())
-    if kappa is None:
-        kappa = sigma_max / sigma_min
+    sigma_min, sigma_max = extent
     t0 = settings.t0
     if t0 is None:
+        kappa = sigma_max / sigma_min
         t0 = auto_t0(sigma_max, kappa, settings.epsilon, settings.clock_size)
     stages = []
     for mode in _VARIANT_MODES[settings.variant]:
@@ -153,7 +149,7 @@ def make_pipeline_spec(
                 window=settings.window,
             )
         )
-    return PipelineSpec(variant=settings.variant, stages=tuple(stages))
+    return PipelineSpec(stages=tuple(stages))
 
 
 def _embedded_lambda_direction(problem: FitProblem, lam: np.ndarray) -> np.ndarray:

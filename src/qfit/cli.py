@@ -50,13 +50,16 @@ def _fail(exc: Exception) -> None:
     sys.exit(2)
 
 
-def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _write_json(obj: dict, out: str | None) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -307,15 +310,10 @@ def cost(n, s, kappa, eps, delta, m_prime, alg, amplified, as_csv, out):
         )
         obj = cost_report_to_json(cost_model(query))
         if as_csv:
-            text = _cost_csv(obj)
-            if out is None or out == "-":
-                click.echo(text, nl=False)
-            else:
-                with open(out, "w") as fh:
-                    fh.write(text)
+            _write_text(_cost_csv(obj), out)
         else:
             _write_json(obj, out)
-    except QfitError as exc:
+    except (QfitError, OSError) as exc:
         _fail(exc)
 
 

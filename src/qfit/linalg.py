@@ -99,13 +99,13 @@ class ConditionEstimate:
     sigma_min: float
 
 
-def embed(f_matrix, dim_cap: int = DEFAULT_DIM_CAP) -> EmbeddedOperator:
+def embed(f_matrix) -> EmbeddedOperator:
     """Embed the N x M matrix F into the Hermitian block operator above."""
     f = as_complex_matrix(f_matrix)
     n, m = f.shape
-    if m + n > dim_cap:
+    if m + n > DEFAULT_DIM_CAP:
         raise DimensionError(
-            f"embedded dimension {m + n} exceeds the simulator cap {dim_cap}"
+            f"embedded dimension {m + n} exceeds the simulator cap {DEFAULT_DIM_CAP}"
         )
     h = np.zeros((m + n, m + n), dtype=complex)
     h[:m, m:] = f.conj().T
@@ -182,23 +182,29 @@ def eig_hermitian(op: EmbeddedOperator | np.ndarray) -> EigDecomposition:
     )
 
 
-def input_coefficients(eig: EigDecomposition, vector) -> np.ndarray:
-    """Coefficients beta_j = <mu_j|v> of a vector in the eigenbasis."""
-    v = as_complex_vector(vector)
-    return eig.eigenvectors.conj().T @ v
+def nonzero_extent(eigenvalues) -> tuple[float, float] | None:
+    """Smallest and largest |E| over the nonzero eigenvalues, or None.
+
+    An eigenvalue counts as zero when |E| <= SINGULAR_TOL, the same rule
+    ``apply_matrix_function`` uses for its kernel.
+    """
+    magnitudes = np.abs(np.asarray(eigenvalues, dtype=float))
+    magnitudes = magnitudes[magnitudes > SINGULAR_TOL]
+    if magnitudes.size == 0:
+        return None
+    return float(magnitudes.min()), float(magnitudes.max())
 
 
 def apply_matrix_function(
     op: EmbeddedOperator | EigDecomposition | np.ndarray,
     func: Callable[[np.ndarray], np.ndarray],
     vector,
-    zero_tol: float = SINGULAR_TOL,
 ) -> np.ndarray:
     """Apply f(H) to a vector through the spectral decomposition.
 
     Accepts a precomputed decomposition to avoid repeating the eigensolve.
 
-    Eigenvalues within ``zero_tol`` of zero are snapped to exactly zero
+    Eigenvalues with |E| <= SINGULAR_TOL are snapped to exactly zero
     before evaluating ``func``; any non-finite value of ``func`` (such as
     1/0 for eigenvalue inversion) is then replaced by zero.  This gives
     1/E pseudo-inverse semantics on the kernel while leaving functions
@@ -206,7 +212,7 @@ def apply_matrix_function(
     """
     eig = op if isinstance(op, EigDecomposition) else eig_hermitian(op)
     v = as_complex_vector(vector)
-    energies = np.where(np.abs(eig.eigenvalues) <= zero_tol, 0.0, eig.eigenvalues)
+    energies = np.where(np.abs(eig.eigenvalues) <= SINGULAR_TOL, 0.0, eig.eigenvalues)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.asarray(func(energies), dtype=complex)
     weights = np.where(np.isfinite(weights), weights, 0.0)
@@ -239,7 +245,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("matrix object needs integer rows/cols") from exc
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
@@ -270,5 +276,5 @@ def vector_to_json(vector) -> list:
 def vector_from_json(obj) -> np.ndarray:
     try:
         return as_complex_vector([complex(re, im) for re, im in obj])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("vector must be a list of [re, im] pairs") from exc

@@ -37,23 +37,18 @@ class FitBasis:
 
     * ``polynomial``: f_j(x) = x**j for j = 0..m-1.
     * ``fourier``:    f_j(x) = exp(2*pi*i*j*x) for j = 0..m-1.
-    * ``custom``:     an explicit design matrix, bypassing evaluation.
+    * ``custom``:     m columns given only as a design matrix; nothing to
+      evaluate, so the problem's stored ``design_matrix`` is the whole record.
     """
 
     kind: str
     m: int
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise DimensionError("a basis needs at least one fit function")
         if self.kind not in (BASIS_POLYNOMIAL, BASIS_FOURIER, BASIS_CUSTOM):
             raise DimensionError(f"unknown basis kind {self.kind!r}")
-        if self.kind == BASIS_CUSTOM:
-            if self.matrix is None:
-                raise DimensionError("custom basis requires an explicit matrix")
-            if self.matrix.shape[1] != self.m:
-                raise DimensionError("custom matrix column count must equal m")
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class FitSolution:
 def build_design_matrix(x, basis: FitBasis) -> np.ndarray:
     """Evaluate the basis at the abscissas: entry (i, j) = f_j(x_i)."""
     if basis.kind == BASIS_CUSTOM:
-        return linalg.as_complex_matrix(basis.matrix)
+        raise DimensionError("a custom basis has no functions to evaluate")
     xs = linalg.as_complex_vector(x)
     j = np.arange(basis.m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -133,7 +128,7 @@ def normalize_problem(
     scale_f = 1.0 / cond.sigma_max
     scale_y = 1.0 / y_norm
     if basis is None:
-        basis = FitBasis(kind=BASIS_CUSTOM, m=f.shape[1], matrix=f)
+        basis = FitBasis(kind=BASIS_CUSTOM, m=f.shape[1])
     if data_set is None:
         data_set = DataSet(x=np.arange(f.shape[0], dtype=complex), y=yv)
     return FitProblem(
@@ -245,7 +240,7 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
             raise GenerationError("identity problems require n == m")
         f_raw = np.eye(spec.n, dtype=complex)
         xs = np.arange(spec.n, dtype=complex)
-        basis = FitBasis(kind=BASIS_CUSTOM, m=spec.m, matrix=f_raw)
+        basis = FitBasis(kind=BASIS_CUSTOM, m=spec.m)
     elif spec.kind == "poly":
         xs = (np.arange(spec.n) / max(spec.n - 1, 1)).astype(complex)
         basis = FitBasis(kind=BASIS_POLYNOMIAL, m=spec.m)
@@ -263,7 +258,7 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
         v = _haar_unitary(spec.m, rng)
         f_raw = (u * sigma) @ v.conj().T
         xs = np.arange(spec.n, dtype=complex)
-        basis = FitBasis(kind=BASIS_CUSTOM, m=spec.m, matrix=f_raw)
+        basis = FitBasis(kind=BASIS_CUSTOM, m=spec.m)
     else:
         raise GenerationError(f"unknown problem kind {spec.kind!r}")
 
@@ -325,19 +320,24 @@ def problem_from_json(obj: dict) -> FitProblem:
         y = linalg.vector_from_json(obj["yVector"])
         scale_f, scale_y = (float(s) for s in obj["normScale"])
         seed = obj.get("seed")
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(basis_obj, dict):
+            raise SchemaError("problem file basis must be a JSON object")
+        kind = basis_obj.get("kind", BASIS_CUSTOM)
+        m = f.shape[1] if kind == BASIS_CUSTOM else int(basis_obj["m"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed problem file: {exc}") from exc
     if version != PROBLEM_SCHEMA_VERSION:
         raise SchemaError(f"unsupported problem schema version {version}")
-    kind = basis_obj.get("kind", BASIS_CUSTOM)
-    if kind == BASIS_CUSTOM:
-        # The stored normalized matrix, undone by c_F, is the raw matrix.
-        basis = FitBasis(kind=kind, m=f.shape[1], matrix=f / scale_f)
-    else:
-        basis = FitBasis(kind=kind, m=int(basis_obj["m"]))
+    if y.size != f.shape[0]:
+        raise SchemaError(
+            f"problem file yVector has {y.size} entries but designMatrix "
+            f"has {f.shape[0]} rows"
+        )
+    if not all(np.isfinite(c) and c > 0 for c in (scale_f, scale_y)):
+        raise SchemaError("problem file normScale entries must be finite and positive")
     problem = FitProblem(
         data_set=data_set,
-        basis=basis,
+        basis=FitBasis(kind=kind, m=m),
         design_matrix=f,
         y=y,
         scale_f=scale_f,
@@ -367,6 +367,5 @@ def restrict_columns(problem: FitProblem, support) -> FitProblem:
         raise DimensionError(f"support {support} invalid for m={problem.m}")
     f_raw = problem.design_matrix[:, support] / problem.scale_f
     y_raw = problem.y / problem.scale_y
-    basis = FitBasis(kind=BASIS_CUSTOM, m=len(support), matrix=f_raw)
-    sub = normalize_problem(f_raw, y_raw, basis=basis, data_set=problem.data_set)
+    sub = normalize_problem(f_raw, y_raw, data_set=problem.data_set)
     return replace(sub, seed=problem.seed)

@@ -51,6 +51,7 @@ from .linalg import (
     apply_matrix_function,
     as_complex_vector,
     eig_hermitian,
+    nonzero_extent,
 )
 from .problems import FitProblem
 
@@ -149,12 +150,10 @@ def validate_config(config: PhaseEstimationConfig, eigenvalues) -> None:
     """Check anti-aliasing and rotation-scale bounds against a spectrum."""
     if config.t0 <= 0:
         raise ConfigError("a full pass needs t0 > 0")
-    energies = np.asarray(eigenvalues, dtype=float)
-    abs_nonzero = np.abs(energies[np.abs(energies) > 1e-12])
-    if abs_nonzero.size == 0:
+    extent = nonzero_extent(eigenvalues)
+    if extent is None:
         return
-    e_max = float(abs_nonzero.max())
-    e_min = float(abs_nonzero.min())
+    e_min, e_max = extent
     if e_max * config.t0 / (2 * np.pi) >= config.clock_size / 2:
         raise ConfigError(
             f"aliasing: sigma_max*t0/(2*pi) = {e_max * config.t0 / (2 * np.pi):.3f} "
@@ -174,14 +173,13 @@ def validate_config(config: PhaseEstimationConfig, eigenvalues) -> None:
 
 def default_rotation_scale(mode: str, eigenvalues) -> float:
     """Largest C the normalization constraint allows for the spectrum."""
-    energies = np.asarray(eigenvalues, dtype=float)
-    abs_nonzero = np.abs(energies[np.abs(energies) > 1e-12])
-    if abs_nonzero.size == 0:
+    extent = nonzero_extent(eigenvalues)
+    if extent is None:
         raise ConfigError("operator has no nonzero eigenvalues")
     if mode == MODE_MULTIPLY:
-        return 1.0 / float(abs_nonzero.max())
+        return 1.0 / extent[1]
     if mode == MODE_INVERT:
-        return float(abs_nonzero.min())
+        return extent[0]
     raise ConfigError(f"unknown mode {mode!r}")
 
 
@@ -217,25 +215,20 @@ def data_state_vector(problem: FitProblem) -> np.ndarray:
     return v
 
 
-def prepare_sine_clock(clock_size: int) -> np.ndarray:
-    """Sine-tapered clock window sqrt(2/T) * sin(pi*(tau+1/2)/T)."""
-    if clock_size < 2:
-        raise ConfigError("sine window needs T >= 2 (normalization fails at T=1)")
-    tau = np.arange(clock_size)
-    return np.sqrt(2.0 / clock_size) * np.sin(np.pi * (tau + 0.5) / clock_size)
-
-
-def prepare_uniform_clock(clock_size: int) -> np.ndarray:
-    if clock_size < 2:
-        raise ConfigError("clock needs T >= 2")
-    return np.full(clock_size, 1.0 / np.sqrt(clock_size))
-
-
 def clock_window(clock_size: int, window: str) -> np.ndarray:
+    """Unit clock vector of a window.
+
+    "uniform" is 1/sqrt(T) on every tau; "sine" is the tapered
+    sqrt(2/T) * sin(pi*(tau+1/2)/T).  Both need T >= 2 (the sine window
+    does not normalize at T = 1).
+    """
+    if clock_size < 2:
+        raise ConfigError("clock window needs T >= 2")
     if window == WINDOW_SINE:
-        return prepare_sine_clock(clock_size)
+        tau = np.arange(clock_size)
+        return np.sqrt(2.0 / clock_size) * np.sin(np.pi * (tau + 0.5) / clock_size)
     if window == WINDOW_UNIFORM:
-        return prepare_uniform_clock(clock_size)
+        return np.full(clock_size, 1.0 / np.sqrt(clock_size))
     raise ConfigError(f"unknown window {window!r}")
 
 
@@ -363,16 +356,14 @@ def uncompute_clock(
     return reflect_clock_window(s, clock_window(config.clock_size, config.window))
 
 
-def postselect_flag(state: QuantumState, value: int = 1) -> tuple[QuantumState, float]:
-    """Project onto the given flag value and renormalize; exact probability."""
-    if value not in (0, 1):
-        raise ConfigError("flag value must be 0 or 1")
-    branch = state.amplitudes[:, :, value]
+def postselect_flag(state: QuantumState) -> tuple[QuantumState, float]:
+    """Project onto flag = 1 and renormalize; exact probability."""
+    branch = state.amplitudes[:, :, 1]
     prob = float(np.vdot(branch, branch).real)
     if prob <= 1e-300:
-        raise PostselectionError(f"flag={value} branch has zero probability")
+        raise PostselectionError("flag=1 branch has zero probability")
     new_amp = np.zeros_like(state.amplitudes)
-    new_amp[:, :, value] = branch / np.sqrt(prob)
+    new_amp[:, :, 1] = branch / np.sqrt(prob)
     return QuantumState(layout=state.layout, amplitudes=new_amp), prob
 
 
@@ -385,12 +376,6 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
     new_amp = np.zeros_like(state.amplitudes)
     new_amp[0] = branch / np.sqrt(prob)
     return QuantumState(layout=state.layout, amplitudes=new_amp), prob
-
-
-def clock_zero_weight(state: QuantumState) -> float:
-    """Probability weight of the clock |0> branch (1 - leakage)."""
-    branch = state.amplitudes[0]
-    return float(np.vdot(branch, branch).real) / max(state.norm_sq(), 1e-300)
 
 
 def extract_system_vector(state: QuantumState) -> np.ndarray:
@@ -455,7 +440,7 @@ def apply_hermitian_via_pe(
     s = qft_clock(s, "forward")
     s = controlled_rotation(s, config)
     s = uncompute_clock(s, eig, config)
-    s, flag_prob = postselect_flag(s, 1)
+    s, flag_prob = postselect_flag(s)
     s, clock_prob = postselect_clock_zero(s)
 
     out_vec = s.amplitudes[0, :, 1]
@@ -498,6 +483,12 @@ class SwapTestResult:
     std_error: float
 
 
+def exact_overlap_sq(state_a, state_b) -> float:
+    a = as_complex_vector(state_a)
+    b = as_complex_vector(state_b)
+    return float(abs(np.vdot(a, b)) ** 2)
+
+
 def swap_test(state_a, state_b, plan: SwapTestPlan) -> SwapTestResult:
     """Sampled swap test between two normalized system vectors.
 
@@ -509,7 +500,7 @@ def swap_test(state_a, state_b, plan: SwapTestPlan) -> SwapTestResult:
     b = as_complex_vector(state_b)
     if a.size != b.size:
         raise DimensionError("swap test requires equal system dimensions")
-    overlap_sq = float(abs(np.vdot(a, b)) ** 2)
+    overlap_sq = exact_overlap_sq(a, b)
     p_one = min(max((1.0 - overlap_sq) / 2.0, 0.0), 0.5)
     rng = np.random.default_rng(plan.seed)
     ones = int(rng.binomial(plan.shots, p_one))
@@ -523,12 +514,6 @@ def swap_test(state_a, state_b, plan: SwapTestPlan) -> SwapTestResult:
         overlap_sq_estimate=estimate,
         std_error=std_error,
     )
-
-
-def exact_overlap_sq(state_a, state_b) -> float:
-    a = as_complex_vector(state_a)
-    b = as_complex_vector(state_b)
-    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def measure_computational(state, shots: int, seed: int) -> np.ndarray:

@@ -68,23 +68,18 @@ class SettingRecord:
     counts: tuple[int, ...]
 
 
-def plan_budget(
-    m_prime: int,
-    epsilon: float,
-    settings_scale: float = 1.0,
-    shots_scale: float = 1.0,
-) -> TomographyBudget:
+def plan_budget(m_prime: int, epsilon: float) -> TomographyBudget:
     """Measurement budget for reconstructing an m'-dimensional pure state."""
     if m_prime < 1:
         raise ConfigError("m' must be at least 1")
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
-    settings = int(np.ceil(settings_scale * m_prime * (np.log2(m_prime) + 1) ** 2))
-    shots = int(np.ceil(shots_scale * m_prime / epsilon**2))
+    settings = int(np.ceil(m_prime * (np.log2(m_prime) + 1) ** 2))
+    shots = int(np.ceil(m_prime / epsilon**2))
     return TomographyBudget(settings=settings, shots_per_setting=shots, epsilon=epsilon)
 
 
-def canonicalize_phase(vector, tol: float = AMPLITUDE_TOL) -> np.ndarray:
+def canonicalize_phase(vector) -> np.ndarray:
     """Unit-normalize and make the first non-negligible amplitude real positive."""
     v = as_complex_vector(vector)
     norm = np.linalg.norm(v)
@@ -92,7 +87,7 @@ def canonicalize_phase(vector, tol: float = AMPLITUDE_TOL) -> np.ndarray:
         raise TomographyError("cannot canonicalize the zero vector")
     v = v / norm
     for z in v:
-        if abs(z) > tol:
+        if abs(z) > AMPLITUDE_TOL:
             return v * (abs(z) / z)
     return v
 

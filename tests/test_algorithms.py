@@ -1,5 +1,7 @@
 """End-to-end pipelines: parameter preparation, quality reports, learning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,17 @@ from qfit.algorithms import (
     support_shot_count,
 )
 from qfit.exceptions import ConfigError, DimensionError, InvariantError
-from qfit.linalg import eig_hermitian, embed
+from qfit.linalg import SINGULAR_TOL, EigDecomposition, eig_hermitian, embed
 from qfit.problems import ProblemSpec, generate_problem, normalize_problem, restrict_columns
-from qfit.sim import MODE_INVERT, MODE_MULTIPLY, SwapTestPlan, WINDOW_SINE
+from qfit.sim import (
+    MODE_INVERT,
+    MODE_MULTIPLY,
+    PhaseEstimationConfig,
+    SwapTestPlan,
+    WINDOW_SINE,
+    default_rotation_scale,
+    validate_config,
+)
 
 from conftest import commensurate_problem
 
@@ -61,6 +71,57 @@ class TestPipelineSpec:
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
             RunSettings(variant="pentuple")
+
+
+class TestZeroEigenvalueRule:
+    """validate_config, default_rotation_scale and make_pipeline_spec read
+    sigma_min and sigma_max off one rule: |E| <= SINGULAR_TOL is zero."""
+
+    SETTINGS = RunSettings(clock_size=64, epsilon=0.1)
+
+    @staticmethod
+    def _eig(values):
+        values = np.sort(np.asarray(values, dtype=float))
+        return EigDecomposition(eigenvalues=values, eigenvectors=np.eye(values.size))
+
+    @pytest.mark.parametrize(
+        "values, sigma_min, sigma_max",
+        [
+            ([-1, -2e-12, -1e-13, 0, 1e-13, 2e-12, 1], 2e-12, 1.0),
+            ([-1, -SINGULAR_TOL, 1e-13, 1], 1.0, 1.0),
+            ([-2e-12, -1e-13, 1e-13, 2e-12], 2e-12, 2e-12),
+            ([-1, -2 * SINGULAR_TOL, -1e-13, 0.5], 2 * SINGULAR_TOL, 1.0),
+        ],
+    )
+    def test_all_three_agree(self, values, sigma_min, sigma_max):
+        eig = self._eig(values)
+        assert default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues) == 1.0 / sigma_max
+        assert default_rotation_scale(MODE_INVERT, eig.eigenvalues) == sigma_min
+        spec = make_pipeline_spec(eig, self.SETTINGS)
+        assert spec.stages[0].rotation_scale == 1.0 / sigma_max
+        assert spec.stages[1].rotation_scale == sigma_min
+        assert spec.stages[0].t0 == auto_t0(sigma_max, sigma_max / sigma_min, 0.1, 64)
+        for stage in spec.stages:
+            validate_config(stage, eig.eigenvalues)  # the spec's own bounds hold
+            bound = stage.rotation_scale
+            over = replace(stage, rotation_scale=bound * 1.01 + 1e-8)
+            with pytest.raises(ConfigError):
+                validate_config(over, eig.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "values", [[-1e-13, 0, 1e-13], [-SINGULAR_TOL, SINGULAR_TOL], [0.0, 0.0]]
+    )
+    def test_spectrum_below_threshold(self, values):
+        eig = self._eig(values)
+        with pytest.raises(ConfigError):
+            make_pipeline_spec(eig, self.SETTINGS)
+        for mode in (MODE_MULTIPLY, MODE_INVERT):
+            with pytest.raises(ConfigError):
+                default_rotation_scale(mode, eig.eigenvalues)
+        config = PhaseEstimationConfig(
+            clock_size=64, t0=1.0, rotation_scale=1.0, mode=MODE_INVERT
+        )
+        assert validate_config(config, eig.eigenvalues) is None
 
 
 class TestPrepareFitParameters:

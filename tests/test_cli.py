@@ -120,6 +120,28 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["masterSeed"] == 77
 
+    @pytest.mark.parametrize("damage", ["basis", "m", "yVector", "normScale"])
+    def test_malformed_problem_file_fails_with_schema_error_json(self, runner, tmp_path,
+                                                                damage):
+        path = tmp_path / "problem.json"
+        assert invoke(runner, ["generate", "--kind", "poly", "--n", "4", "--m", "2",
+                               "--out", str(path)]).exit_code == 0
+        obj = json.loads(path.read_text())
+        if damage == "basis":
+            obj["basis"] = ["polynomial", 2]
+        elif damage == "m":
+            del obj["basis"]["m"]
+        elif damage == "yVector":
+            obj["yVector"].append([0.0, 0.0])
+        else:
+            obj["normScale"][0] = -1.0
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["run", "--problem", str(path), "-T", "64",
+                                      "--out", str(tmp_path / "x.json")])
+        assert result.exit_code == 2
+        payload = json.loads(result.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "SchemaError"
+
     def test_aliasing_config_rejected(self, runner, worked_problem_file, tmp_path):
         result = runner.invoke(main, ["run", "--problem", worked_problem_file,
                                       "-T", "8", "--t0", "1000.0",
@@ -168,3 +190,12 @@ class TestCost:
         result = runner.invoke(main, ["cost", "--n", "1", "--s", "1", "--kappa", "1",
                                       "--eps", "0.5"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    def test_unwritable_output_fails_with_error_json(self, runner, tmp_path, fmt):
+        result = runner.invoke(main, ["cost", "--n", "4", "--s", "1", "--kappa", "2",
+                                      "--eps", "0.1", *fmt,
+                                      "--out", str(tmp_path / "no" / "x.json")])
+        assert result.exit_code == 2
+        payload = json.loads(result.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "FileNotFoundError"

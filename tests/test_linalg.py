@@ -9,7 +9,6 @@ from qfit.linalg import (
     condition_estimate,
     eig_hermitian,
     embed,
-    input_coefficients,
     matrix_from_json,
     matrix_to_json,
     pseudoinverse,
@@ -150,12 +149,6 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DimensionError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_input_coefficients_unit_norm(self, rng):
-        f = random_complex_matrix(rng, 5, 2)
-        eig = eig_hermitian(embed(f))
-        beta = input_coefficients(eig, random_complex_vector(rng, 7))
-        assert abs(np.sum(np.abs(beta) ** 2) - 1.0) <= 1e-12
 
 
 class TestApplyMatrixFunction:

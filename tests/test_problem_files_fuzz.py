@@ -1,0 +1,107 @@
+"""Fuzzed problem files: a damaged file is a QfitError, never a crash.
+
+Each example starts from a valid problem dict and damages it the ways a
+hand-edited or cut-off file can be damaged: a key dropped, a value
+swapped for JSON of another type, a list truncated, a scale made zero,
+negative or non-finite.  ``problem_from_json`` must then either return a
+problem whose row count matches its y vector, or raise a QfitError.
+These are hypothesis property tests; the module is skipped where
+hypothesis is not installed.
+"""
+
+import copy
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qfit.exceptions import QfitError  # noqa: E402
+from qfit.problems import (  # noqa: E402
+    ProblemSpec,
+    generate_problem,
+    problem_from_json,
+    problem_to_json,
+)
+
+# One file per basis record: "random" stores a custom basis, "poly" and
+# "fourier" a functional one with its m.
+VALID = [
+    problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind=kind), seed=3))
+    for kind in ("random", "poly", "fourier")
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+BAD_SCALES = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _damage(obj, data):
+    """Apply one drawn damage to ``obj`` in place."""
+    paths = list(_paths(obj))
+    kind = data.draw(st.sampled_from(["drop", "swap", "truncate", "scale"]))
+    if kind == "scale":
+        scales = obj.get("normScale")
+        if isinstance(scales, list) and scales:
+            slot = data.draw(st.integers(0, len(scales) - 1))
+            scales[slot] = data.draw(BAD_SCALES)
+        return
+    if kind == "truncate":
+        paths = [p for p in paths if isinstance(_get(obj, p), list) and _get(obj, p)]
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _get(obj, path[:-1]), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "swap":
+        old = parent[key]
+        parent[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    else:
+        parent[key] = parent[key][: data.draw(st.integers(0, len(parent[key]) - 1))]
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(VALID))), st.integers(1, 3), st.data())
+def test_damaged_problem_file_loads_consistently_or_raises_qfit_error(which, count, data):
+    obj = copy.deepcopy(VALID[which])
+    for _ in range(count):
+        _damage(obj, data)
+    try:
+        problem = problem_from_json(obj)
+    except QfitError:
+        return
+    assert problem.n == problem.y.size
+    assert all(math.isfinite(c) and c > 0 for c in (problem.scale_f, problem.scale_y))
+
+
+@pytest.mark.parametrize("which", range(len(VALID)))
+def test_undamaged_files_load(which):
+    problem = problem_from_json(copy.deepcopy(VALID[which]))
+    assert problem.n == problem.y.size == 4

@@ -243,6 +243,33 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             problem_from_json(obj)
 
+    def test_basis_not_an_object(self):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), 0))
+        obj["basis"] = "polynomial"
+        with pytest.raises(SchemaError):
+            problem_from_json(obj)
+
+    @pytest.mark.parametrize("kind", ["poly", "fourier"])
+    def test_functional_basis_without_m(self, kind):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind=kind), 0))
+        del obj["basis"]["m"]
+        with pytest.raises(SchemaError):
+            problem_from_json(obj)
+
+    def test_y_length_differs_from_rows(self):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
+        obj["yVector"].append([0.0, 0.0])  # still unit norm
+        with pytest.raises(SchemaError):
+            problem_from_json(obj)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("inf"), float("nan")])
+    def test_norm_scale_not_finite_positive(self, slot, scale):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
+        obj["normScale"][slot] = scale
+        with pytest.raises(SchemaError):
+            problem_from_json(obj)
+
     def test_byte_determinism(self, tmp_path):
         spec = ProblemSpec(n=8, m=4, kind="poly")
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -16,7 +16,6 @@ from qfit.sim import (
     SwapTestPlan,
     apply_hermitian_via_pe,
     clock_window,
-    clock_zero_weight,
     conditional_evolution,
     controlled_rotation,
     decode_eigenvalue,
@@ -27,8 +26,6 @@ from qfit.sim import (
     postselect_clock_zero,
     postselect_flag,
     prepare_data_state,
-    prepare_sine_clock,
-    prepare_uniform_clock,
     qft_clock,
     reflect_clock_window,
     rotation_weights,
@@ -47,6 +44,12 @@ def _force_amp(layout, amp):
     from qfit.sim import QuantumState
 
     return QuantumState(layout=layout, amplitudes=amp)
+
+
+def _clock_zero_weight(state):
+    """Probability weight of the clock |0> branch (1 - leakage)."""
+    branch = state.amplitudes[0]
+    return float(np.vdot(branch, branch).real) / state.norm_sq()
 
 
 def config(T=8, t0=4 * np.pi, C=1.0, mode=MODE_MULTIPLY, window=WINDOW_UNIFORM):
@@ -85,25 +88,25 @@ class TestLayoutAndPreparation:
 class TestClockWindows:
     def test_sine_t2(self):
         np.testing.assert_allclose(
-            prepare_sine_clock(2), [np.sin(np.pi / 4), np.sin(3 * np.pi / 4)]
+            clock_window(2, WINDOW_SINE), [np.sin(np.pi / 4), np.sin(3 * np.pi / 4)]
         )
-        np.testing.assert_allclose(prepare_sine_clock(2), [0.70711, 0.70711], atol=5e-6)
+        np.testing.assert_allclose(clock_window(2, WINDOW_SINE), [0.70711, 0.70711], atol=5e-6)
 
     def test_sine_t4(self):
         tau = np.arange(4)
         expected = np.sqrt(0.5) * np.sin(np.pi * (tau + 0.5) / 4)
-        np.testing.assert_allclose(prepare_sine_clock(4), expected)
+        np.testing.assert_allclose(clock_window(4, WINDOW_SINE), expected)
 
     @pytest.mark.parametrize("t", [2, 4, 8, 64, 1024])
     def test_sine_normalized(self, t):
-        assert np.sum(prepare_sine_clock(t) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(clock_window(t, WINDOW_SINE) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_rejects_t1(self):
         with pytest.raises(ConfigError):
-            prepare_sine_clock(1)
+            clock_window(1, WINDOW_SINE)
 
     def test_uniform_normalized(self):
-        assert np.sum(prepare_uniform_clock(8) ** 2) == pytest.approx(1.0)
+        assert np.sum(clock_window(8, WINDOW_UNIFORM) ** 2) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("window", [WINDOW_SINE, WINDOW_UNIFORM])
     def test_reflection_prepares_and_inverts(self, rng, window):
@@ -245,7 +248,7 @@ class TestPostselection:
         layout = RegisterLayout(clock_size=2, system_dim=1)
         amp = np.zeros((2, 1, 2), dtype=complex)
         amp[0, 0, 1] = 1.0
-        state, prob = postselect_flag(_force_amp(layout, amp), 1)
+        state, prob = postselect_flag(_force_amp(layout, amp))
         assert prob == pytest.approx(1.0)
         np.testing.assert_allclose(state.amplitudes, amp)
 
@@ -255,7 +258,7 @@ class TestPostselection:
         amp = np.zeros((2, 2, 2), dtype=complex)
         amp[0, :, 0] = np.sqrt(0.75) * sys
         amp[0, :, 1] = 0.5 * sys
-        state, prob = postselect_flag(_force_amp(layout, amp), 1)
+        state, prob = postselect_flag(_force_amp(layout, amp))
         assert prob == pytest.approx(0.25)
         assert state.norm_sq() == pytest.approx(1.0)
 
@@ -264,13 +267,13 @@ class TestPostselection:
         amp = np.zeros((2, 1, 2), dtype=complex)
         amp[0, 0, 0] = 1.0
         with pytest.raises(PostselectionError):
-            postselect_flag(_force_amp(layout, amp), 1)
+            postselect_flag(_force_amp(layout, amp))
 
     def test_clock_zero(self, rng):
         layout = RegisterLayout(clock_size=4, system_dim=2)
         state = _force_amp(layout, _random_amp(rng, layout))
         out, prob = postselect_clock_zero(state)
-        assert prob == pytest.approx(clock_zero_weight(state))
+        assert prob == pytest.approx(_clock_zero_weight(state))
         assert out.norm_sq() == pytest.approx(1.0)
 
 
@@ -299,7 +302,7 @@ class TestUncompute:
         s = qft_clock(s, "forward")
         s = controlled_rotation(s, cfg)
         s = uncompute_clock(s, eig, cfg)
-        assert 1.0 - clock_zero_weight(s) <= 1e-10
+        assert 1.0 - _clock_zero_weight(s) <= 1e-10
 
     def test_generic_residual_shrinks_with_clock(self, rng):
         # clock leakage shrinks as T and t0 double together
@@ -317,8 +320,8 @@ class TestUncompute:
             s = qft_clock(s, "forward")
             s = controlled_rotation(s, cfg)
             s = uncompute_clock(s, eig, cfg)
-            s, _ = postselect_flag(s, 1)
-            residuals.append(1.0 - clock_zero_weight(s))
+            s, _ = postselect_flag(s)
+            residuals.append(1.0 - _clock_zero_weight(s))
         assert residuals[1] <= 2 * residuals[0]
         assert residuals[2] <= 2 * residuals[1]
         assert residuals[2] < residuals[0]

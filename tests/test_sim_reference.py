@@ -77,7 +77,7 @@ def _ref_pass(state, op, cfg, eig):
     s = qft_clock(s, "inverse")
     s = _ref_conditional_evolution(s, eig, cfg, inverse=True)
     s = reflect_clock_window(s, window)
-    s, flag_prob = postselect_flag(s, 1)
+    s, flag_prob = postselect_flag(s)
     s, clock_prob = postselect_clock_zero(s)
     out = s.amplitudes[0, :, 1]
     f = (lambda e: e) if cfg.mode == MODE_MULTIPLY else (lambda e: 1.0 / e)

@@ -35,11 +35,6 @@ class TestPlanBudget:
         assert finer.shots_per_setting == 4 * base.shots_per_setting
         assert finer.settings == base.settings
 
-    def test_scales_are_configurable(self):
-        budget = plan_budget(2, 0.1, settings_scale=2.0, shots_scale=0.5)
-        assert budget.settings == 16
-        assert budget.shots_per_setting == 100
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             plan_budget(0, 0.1)
