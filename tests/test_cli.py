@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,35 @@ class TestLearn:
         assert report["recoveredSupport"] == [2, 5]
         assert report["reconstructionFidelity"] >= 0.75
         assert report["config"]["mPrime"] == 2
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("run", "--t0", "nan", "t0"),
+        ("run", "--t0", "inf", "t0"),
+        ("run", "--c", "nan", "C"),
+        ("learn", "--c", "nan", "C"),
+        ("learn", "--t0", "-inf", "t0"),
+    ])
+    def test_fails_with_config_error_json_and_no_warning(self, runner, tmp_path,
+                                                         command, flag, value, named):
+        problem_path = tmp_path / "planted.json"
+        invoke(runner, ["generate", "--kind", "random", "--n", "16", "--m", "8",
+                        "--planted", "2,5", "--seed", "11", "--out", str(problem_path)])
+        args = [command, "--problem", str(problem_path), "-T", "64", flag, value,
+                "--out", str(tmp_path / "x.json")]
+        if command == "learn":
+            args += ["--m-prime", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert [str(w.message) for w in caught] == []
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert f"{named} must be finite" in payload["message"]
 
 
 class TestCost:

@@ -76,6 +76,14 @@ class TestLayoutAndPreparation:
             state.amplitudes[0, :, 0], [0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2)]
         )
 
+    def test_prepared_states_are_clock_contiguous(self):
+        prob = normalize_problem([[1.0], [0.5]], [1.0, 0.0])
+        layout = RegisterLayout(clock_size=4, system_dim=3)
+        for state in (prepare_data_state(prob, layout),
+                      state_from_system_vector([0.0, 1.0, 0.0], layout)):
+            assert state.amplitudes.shape == (4, 3, 2)
+            assert state.amplitudes.T.flags.c_contiguous
+
     def test_layout_validation(self):
         with pytest.raises(ConfigError):
             RegisterLayout(clock_size=3, system_dim=2)
@@ -269,6 +277,15 @@ class TestPostselection:
         with pytest.raises(PostselectionError):
             postselect_flag(_force_amp(layout, amp))
 
+    def test_nan_branch_rejected(self):
+        layout = RegisterLayout(clock_size=2, system_dim=1)
+        amp = np.zeros((2, 1, 2), dtype=complex)
+        amp[0, 0, :] = np.nan
+        with pytest.raises(PostselectionError):
+            postselect_flag(_force_amp(layout, amp))
+        with pytest.raises(PostselectionError):
+            postselect_clock_zero(_force_amp(layout, amp))
+
     def test_clock_zero(self, rng):
         layout = RegisterLayout(clock_size=4, system_dim=2)
         state = _force_amp(layout, _random_amp(rng, layout))
@@ -345,6 +362,13 @@ class TestConfigValidation:
 
     def test_valid_passes(self):
         validate_config(config(C=1.0), [1.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t0_and_scale_rejected(self, value):
+        with pytest.raises(ConfigError, match="t0 must be finite"):
+            config(t0=value)
+        with pytest.raises(ConfigError, match="C must be finite"):
+            config(C=value)
 
 
 class TestFullPass:

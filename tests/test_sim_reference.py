@@ -1,11 +1,17 @@
-"""The BLAS-path primitives of ``qfit.sim`` against plain references.
+"""The primitives of ``qfit.sim`` against plain references.
 
-The references are the plain formulas the primitives are defined by:
-unoptimized einsums for the basis changes, and sums over clock and flag
-at once for the reductions.  The primitives reorder the same arithmetic,
-so they must agree to rounding.  These are hypothesis property tests;
-the module is skipped where hypothesis is not installed.
+The references are the plain formulas the primitives are defined by, on
+the (clock, system, flag) axes as written: unoptimized einsums and a
+direct ``exp`` phase table for the basis changes, a ``tensordot`` window
+overlap, a clock-axis FFT, the rotation and postselection on whole
+(T, D) flag slices, and sums over clock and flag at once for the
+reductions.  The primitives work on the clock-contiguous transpose and
+reorder the same arithmetic, so they must agree to rounding, for input
+in either memory order.  Most are hypothesis property tests; the module
+is skipped where hypothesis is not installed.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +41,10 @@ from qfit.sim import (  # noqa: E402
     phase_distance,
     postselect_clock_zero,
     postselect_flag,
+    _phase_table,
     qft_clock,
     reflect_clock_window,
+    rotation_weights,
     state_from_system_vector,
     validate_config,
 )
@@ -44,17 +52,58 @@ from qfit.sim import (  # noqa: E402
 from conftest import random_complex_matrix, random_complex_vector  # noqa: E402
 
 CLOCKS = st.sampled_from([2**k for k in range(1, 9)])
+ORDERS = st.sampled_from(["C", "F"])
 TOL = 1e-12
 
 
-def _ref_conditional_evolution(state, eig, cfg, inverse=False):
-    t = state.layout.clock_size
+def _direct_phases(eigenvalues, cfg, inverse):
+    """The (T, D) phase table from one float64 ``exp`` per entry."""
+    t = cfg.clock_size
     sign = 1.0 if inverse else -1.0
-    phases = np.exp(1j * sign * np.outer(np.arange(t), eig.eigenvalues) * (cfg.t0 / t))
+    return np.exp(1j * sign * np.outer(np.arange(t), eigenvalues) * (cfg.t0 / t))
+
+
+def _ref_reflect_clock_window(state, window):
+    v = window.astype(complex)
+    v[0] -= 1.0
+    vnorm_sq = float(np.vdot(v, v).real)
+    amp = state.amplitudes
+    overlap = np.tensordot(v.conj(), amp, axes=([0], [0]))
+    new = amp - (2.0 / vnorm_sq) * v[:, None, None] * overlap[None, :, :]
+    return QuantumState(layout=state.layout, amplitudes=new)
+
+
+def _ref_conditional_evolution(state, eig, cfg, inverse=False, phases=None):
+    if phases is None:
+        phases = _direct_phases(eig.eigenvalues, cfg, inverse)
     in_eigen = np.einsum("tdf,dj->tjf", state.amplitudes, eig.eigenvectors.conj())
     in_eigen *= phases[:, :, None]
     new = np.einsum("tjf,dj->tdf", in_eigen, eig.eigenvectors)
     return QuantumState(layout=state.layout, amplitudes=new)
+
+
+def _ref_qft_clock(state, direction):
+    transform = np.fft.ifft if direction == "forward" else np.fft.fft
+    new = transform(state.amplitudes, axis=0, norm="ortho")
+    return QuantumState(layout=state.layout, amplitudes=new)
+
+
+def _ref_controlled_rotation(state, cfg):
+    w = rotation_weights(cfg)[:, None]
+    c = np.sqrt(1.0 - w**2)
+    amp = state.amplitudes
+    new = np.empty_like(amp)
+    new[:, :, 0] = c * amp[:, :, 0] - w * amp[:, :, 1]
+    new[:, :, 1] = w * amp[:, :, 0] + c * amp[:, :, 1]
+    return QuantumState(layout=state.layout, amplitudes=new)
+
+
+def _ref_postselect_flag(state):
+    branch = state.amplitudes[:, :, 1]
+    prob = float(np.vdot(branch, branch).real)
+    new = np.zeros_like(state.amplitudes)
+    new[:, :, 1] = branch / np.sqrt(prob)
+    return QuantumState(layout=state.layout, amplitudes=new), prob
 
 
 def _ref_extract_system_vector(state):
@@ -70,14 +119,14 @@ def _ref_pass(state, op, cfg, eig):
     validate_config(cfg, eig.eigenvalues)
     psi_in = _ref_extract_system_vector(state)
     window = clock_window(cfg.clock_size, cfg.window)
-    s = reflect_clock_window(state, window)
+    s = _ref_reflect_clock_window(state, window)
     s = _ref_conditional_evolution(s, eig, cfg)
-    s = qft_clock(s, "forward")
-    s = controlled_rotation(s, cfg)
-    s = qft_clock(s, "inverse")
+    s = _ref_qft_clock(s, "forward")
+    s = _ref_controlled_rotation(s, cfg)
+    s = _ref_qft_clock(s, "inverse")
     s = _ref_conditional_evolution(s, eig, cfg, inverse=True)
-    s = reflect_clock_window(s, window)
-    s, flag_prob = postselect_flag(s)
+    s = _ref_reflect_clock_window(s, window)
+    s, flag_prob = _ref_postselect_flag(s)
     s, clock_prob = postselect_clock_zero(s)
     out = s.amplitudes[0, :, 1]
     f = (lambda e: e) if cfg.mode == MODE_MULTIPLY else (lambda e: 1.0 / e)
@@ -85,10 +134,15 @@ def _ref_pass(state, op, cfg, eig):
     return out, flag_prob, clock_prob, phase_distance(out, exact / np.linalg.norm(exact))
 
 
-def _full_state(rng, t, d):
+def _full_state(rng, t, d, order="C"):
     """Random complex amplitudes on every clock, system and flag index."""
     amp = rng.normal(size=(t, d, 2)) + 1j * rng.normal(size=(t, d, 2))
-    return QuantumState(layout=RegisterLayout(clock_size=t, system_dim=d), amplitudes=amp)
+    return QuantumState(layout=RegisterLayout(clock_size=t, system_dim=d),
+                        amplitudes=np.asarray(amp, order=order))
+
+
+def _clock_contiguous(state):
+    return state.amplitudes.T.flags.c_contiguous
 
 
 def _random_eig(rng, d):
@@ -103,17 +157,79 @@ def _random_eig(rng, d):
     seed=st.integers(0, 2**32 - 1),
     t0=st.floats(0.0, 50.0),
     inverse=st.booleans(),
+    order=ORDERS,
 )
-def test_conditional_evolution_matches_reference(t, d, seed, t0, inverse):
+def test_conditional_evolution_matches_reference(t, d, seed, t0, inverse, order):
     rng = np.random.default_rng(seed)
-    state = _full_state(rng, t, d)
+    state = _full_state(rng, t, d, order)
     eig = _random_eig(rng, d)
     cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=1.0,
                                 mode=MODE_MULTIPLY, window=WINDOW_UNIFORM)
-    got = conditional_evolution(state, eig, cfg, inverse=inverse).amplitudes
+    out = conditional_evolution(state, eig, cfg, inverse=inverse)
     ref = _ref_conditional_evolution(state, eig, cfg, inverse=inverse).amplitudes
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= TOL
+    assert out.amplitudes.shape == ref.shape
+    assert np.max(np.abs(out.amplitudes - ref)) <= TOL
+    assert _clock_contiguous(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
+    order=ORDERS,
+)
+def test_reflection_and_qft_match_reference(t, d, seed, window, order):
+    rng = np.random.default_rng(seed)
+    state = _full_state(rng, t, d, order)
+    out = reflect_clock_window(state, clock_window(t, window))
+    ref = _ref_reflect_clock_window(state, clock_window(t, window)).amplitudes
+    assert np.max(np.abs(out.amplitudes - ref)) <= TOL
+    assert _clock_contiguous(out)
+    for direction in ("forward", "inverse"):
+        out = qft_clock(state, direction)
+        ref = _ref_qft_clock(state, direction).amplitudes
+        assert np.max(np.abs(out.amplitudes - ref)) <= TOL
+        assert _clock_contiguous(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(0.1, 50.0),
+    scale=st.floats(0.01, 1.0),
+    mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
+    order=ORDERS,
+)
+def test_rotation_and_flag_postselection_match_reference(t, d, seed, t0, scale, mode,
+                                                         order):
+    rng = np.random.default_rng(seed)
+    state = _full_state(rng, t, d, order)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=scale, mode=mode)
+    out = controlled_rotation(state, cfg)
+    ref = _ref_controlled_rotation(state, cfg).amplitudes
+    assert np.max(np.abs(out.amplitudes - ref)) <= TOL
+    assert _clock_contiguous(out)
+
+    selected, prob = postselect_flag(state)
+    ref_selected, ref_prob = _ref_postselect_flag(state)
+    assert abs(prob - ref_prob) <= TOL * ref_prob
+    assert np.max(np.abs(selected.amplitudes - ref_selected.amplitudes)) <= TOL
+    # The one C-ordered result: the probability is summed in that order,
+    # bit for bit as the reference does on C-ordered input, and so it is
+    # the same number for either input layout.
+    assert selected.amplitudes.flags.c_contiguous
+    if order == "C":
+        assert prob == ref_prob
+    other = "F" if order == "C" else "C"
+    relaid = QuantumState(layout=state.layout,
+                          amplitudes=np.asarray(state.amplitudes, order=other))
+    other_selected, other_prob = postselect_flag(relaid)
+    assert other_prob == prob
+    np.testing.assert_array_equal(other_selected.amplitudes, selected.amplitudes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,3 +288,87 @@ def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, window
     assert abs(info.flag_probability - ref_flag) <= TOL
     assert abs(info.clock_zero_probability - ref_clock) <= TOL
     assert abs(info.oracle_distance - ref_distance) <= TOL
+
+
+# --- the phase table -------------------------------------------------------------
+
+LONG_CLOCK, LONG_DIM = 65536, 8
+
+
+def _long_clock_config(eigenvalues):
+    """T = 65536 with the largest argument just below the aliasing limit pi*T."""
+    t0 = 0.99 * np.pi * LONG_CLOCK / float(np.max(np.abs(eigenvalues)))
+    return PhaseEstimationConfig(clock_size=LONG_CLOCK, t0=t0, rotation_scale=1.0,
+                                 mode=MODE_MULTIPLY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.sampled_from([2**k for k in range(1, 17)]),
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(0.0, 1e5),
+)
+def test_inverse_table_is_the_exact_conjugate(t, d, seed, t0):
+    eigenvalues = np.random.default_rng(seed).uniform(-1.0, 1.0, size=d)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=1.0, mode=MODE_MULTIPLY)
+    forward = _phase_table(eigenvalues, cfg, inverse=False)
+    assert forward.shape == (d, t)
+    np.testing.assert_array_equal(_phase_table(eigenvalues, cfg, inverse=True),
+                                  forward.conj())
+
+
+def test_inverse_evolution_undoes_forward_at_long_clock():
+    rng = np.random.default_rng(5)
+    eig = _random_eig(rng, LONG_DIM)
+    cfg = _long_clock_config(eig.eigenvalues)
+    state = _full_state(rng, LONG_CLOCK, LONG_DIM, "F")
+    there = conditional_evolution(state, eig, cfg)
+    back = conditional_evolution(there, eig, cfg, inverse=True)
+    assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= TOL
+    # The clock blocks tile the whole clock: the same phases through the
+    # plain einsums give the same state.
+    phases = _phase_table(eig.eigenvalues, cfg, inverse=False).T
+    ref = _ref_conditional_evolution(state, eig, cfg, phases=phases).amplitudes
+    assert np.max(np.abs(there.amplitudes - ref)) <= TOL
+
+
+def _max_error(table, exact):
+    re, im = exact
+    return float(np.max(np.hypot((table.real - re).astype(float),
+                                 (table.imag - im).astype(float))))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("seed", range(5))
+def test_table_error_is_no_larger_than_direct_exp(seed):
+    eigenvalues = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, size=LONG_DIM))
+    cfg = _long_clock_config(eigenvalues)
+    tau = np.arange(LONG_CLOCK, dtype=np.longdouble)
+    step = np.asarray(eigenvalues, dtype=np.longdouble) * np.longdouble(cfg.t0) / LONG_CLOCK
+    theta = step[:, None] * tau
+    cos, sin = np.cos(theta), np.sin(theta)
+    for inverse in (False, True):
+        exact = (cos, sin if inverse else -sin)
+        table_error = _max_error(_phase_table(eigenvalues, cfg, inverse), exact)
+        direct_error = _max_error(_direct_phases(eigenvalues, cfg, inverse).T, exact)
+        assert table_error <= direct_error
+        # Long-double arguments: far below one float64 rounding of pi*T.
+        assert table_error <= 1e-13
+
+
+def test_reflection_allocates_one_state():
+    rng = np.random.default_rng(9)
+    state = _full_state(rng, LONG_CLOCK, LONG_DIM, "F")
+    window = clock_window(LONG_CLOCK, WINDOW_SINE)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = reflect_clock_window(state, window)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert _clock_contiguous(out)
+    assert peak < 1.25 * state.amplitudes.nbytes
