@@ -31,6 +31,7 @@ from qfit.sim import (  # noqa: E402
     PhaseEstimationConfig,
     QuantumState,
     RegisterLayout,
+    _phase_table,
     apply_hermitian_via_pe,
     clock_window,
     conditional_evolution,
@@ -41,7 +42,6 @@ from qfit.sim import (  # noqa: E402
     phase_distance,
     postselect_clock_zero,
     postselect_flag,
-    _phase_table,
     qft_clock,
     reflect_clock_window,
     rotation_weights,
