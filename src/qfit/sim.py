@@ -41,6 +41,20 @@ changes are BLAS matrix products over blocks of clock columns, and the
 window reflection, the QFT and the flag rotation stream whole clock
 rows.  The primitives accept either layout.
 
+Flag slices
+-----------
+Only the flag rotation acts on the flag, and every other stage
+transforms the two flag slices ``amplitudes.T[0]`` and
+``amplitudes.T[1]`` independently.  So a slice that is exactly zero
+stays exactly zero: the reflection, the evolution and the QFT compute
+only the slices that hold a nonzero amplitude and write exact zeros into
+the other, and the rotation drops the terms of a zero input slice.
+Skipping a zero slice changes no bit of the live one.  A pass starts
+flag-|0>, so its forward half runs on flag 0 alone.  It keeps only the
+flag-1 branch, and projecting onto it commutes with the uncomputation,
+which does not touch the flag; so the pass zeroes the rotation's flag-0
+slice and its backward half runs on flag 1 alone.
+
 The one exception is ``postselect_flag``.  Its result is C-ordered,
 because it sums the flag-1 probability over that array's strided flag-1
 slice.  That is the summation order of the earlier C-ordered layout, so
@@ -96,6 +110,15 @@ _TWO_PI = 2 * np.arccos(np.longdouble(-1))
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _live_flags(amp_t: np.ndarray) -> list[int]:
+    """Flags whose slice of a (flag, system, clock) array holds a nonzero amplitude.
+
+    Clock 0 settles most live slices at once; only a slice that is zero
+    there is scanned whole.
+    """
+    return [f for f in range(amp_t.shape[0]) if amp_t[f, :, 0].any() or amp_t[f].any()]
 
 
 @dataclass(frozen=True)
@@ -278,10 +301,14 @@ def reflect_clock_window(state: QuantumState, window: np.ndarray) -> QuantumStat
     amp_t = state.amplitudes.T
     if vnorm_sq < 1e-30:  # window is |0> itself
         return QuantumState(layout=state.layout, amplitudes=np.copy(amp_t, order="C").T)
-    overlap = amp_t @ v.conj()  # shape (F, D)
-    # One state-sized allocation: the rank-one term, then the input added in place.
-    new_amp = overlap[:, :, None] * ((-2.0 / vnorm_sq) * v)
-    new_amp += amp_t
+    scaled = (-2.0 / vnorm_sq) * v
+    # One state-sized allocation: per live flag, the rank-one term, then
+    # the input added in place.
+    new_amp = np.zeros(amp_t.shape, dtype=complex)
+    for f in _live_flags(amp_t):
+        overlap = amp_t[f] @ v.conj()  # shape (D,)
+        np.multiply(overlap[:, None], scaled, out=new_amp[f])
+        new_amp[f] += amp_t[f]
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -298,7 +325,7 @@ def conditional_evolution(
 
     Runs over blocks of whole clock columns: each block goes into the
     eigenbasis, takes its phases and comes back with one BLAS matrix
-    product per flag while it is in cache, and is written straight into
+    product per live flag while it is in cache, and is written straight into
     the one new state.  The results match the plain loop to rounding, not
     bit for bit, and depend on the BLAS thread count in the last digits.
     """
@@ -308,13 +335,15 @@ def conditional_evolution(
     vecs = eig.eigenvectors
     to_eigen = vecs.conj().T
     table = _phase_table(eig.eigenvalues, config, inverse)
-    new_amp = np.empty(amp_t.shape, dtype=complex)
+    live = _live_flags(amp_t)
+    new_amp = np.zeros(amp_t.shape, dtype=complex)
     block = max(1, _BLOCK_AMPLITUDES // state.layout.system_dim)
     for lo in range(0, state.layout.clock_size, block):
         cols = slice(lo, lo + block)
-        in_eigen = to_eigen @ amp_t[:, :, cols]
-        in_eigen *= table[:, cols]
-        np.matmul(vecs, in_eigen, out=new_amp[:, :, cols])
+        for f in live:
+            in_eigen = to_eigen @ amp_t[f, :, cols]
+            in_eigen *= table[:, cols]
+            np.matmul(vecs, in_eigen, out=new_amp[f, :, cols])
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -353,7 +382,10 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
         transform = np.fft.fft
     else:
         raise ConfigError(f"unknown QFT direction {direction!r}")
-    new_amp = transform(np.ascontiguousarray(state.amplitudes.T), axis=-1, norm="ortho")
+    amp_t = state.amplitudes.T
+    new_amp = np.zeros(amp_t.shape, dtype=complex)
+    for f in _live_flags(amp_t):
+        transform(np.ascontiguousarray(amp_t[f]), axis=-1, norm="ortho", out=new_amp[f])
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -399,14 +431,19 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
     """
     w = rotation_weights(config)
     c = np.sqrt(1.0 - w**2)
+    # Output flag g is the sum over live input flags f of weights[g][f] * a_f:
+    # c*a0 - w*a1 and w*a0 + c*a1 without the terms of a zero slice.
+    weights = ((c, -w), (w, c))
     amp_t = state.amplitudes.T
-    new_amp = np.empty(amp_t.shape, dtype=complex)
-    # c*a0 - w*a1 and w*a0 + c*a1, with one half-state buffer for the w terms.
-    term = np.empty(amp_t.shape[1:], dtype=complex)
-    np.multiply(c, amp_t[0], out=new_amp[0])
-    new_amp[0] -= np.multiply(w, amp_t[1], out=term)
-    np.multiply(c, amp_t[1], out=new_amp[1])
-    new_amp[1] += np.multiply(w, amp_t[0], out=term)
+    live = _live_flags(amp_t)
+    new_amp = np.zeros(amp_t.shape, dtype=complex)
+    if live:
+        first, *rest = live
+        term = np.empty(amp_t.shape[1:], dtype=complex) if rest else None
+        for g, row in enumerate(weights):
+            np.multiply(row[first], amp_t[first], out=new_amp[g])
+            for f in rest:
+                new_amp[g] += np.multiply(row[f], amp_t[f], out=term)
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -455,10 +492,13 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
 
 def extract_system_vector(state: QuantumState) -> np.ndarray:
     """System-register vector of a state whose clock and flag are definite."""
-    amp = state.amplitudes
+    amp_t = state.amplitudes.T
     # Valid once only one branch is populated.  Summing the clock axis
-    # first reduces along whole rows and adds the same nonzero terms.
-    collapsed = amp.sum(axis=0).sum(axis=1)
+    # first reduces along whole rows and adds the same nonzero terms; a
+    # zero flag slice adds nothing.
+    collapsed = np.zeros(amp_t.shape[1], dtype=complex)
+    for f in _live_flags(amp_t):
+        collapsed += amp_t[f].sum(axis=-1)
     norm = np.linalg.norm(collapsed)
     if abs(norm - 1.0) > 1e-6:
         raise DimensionError(
@@ -514,6 +554,10 @@ def apply_hermitian_via_pe(
     s = conditional_evolution(s, eig, config)
     s = qft_clock(s, "forward")
     s = controlled_rotation(s, config)
+    # Only flag 1 is kept, and the uncomputation leaves the flag alone, so
+    # flag 0 can be dropped now (see "Flag slices" in the module docstring).
+    # The array is this pass's own fresh output.
+    s.amplitudes.T[0] = 0
     s = uncompute_clock(s, eig, config)
     s, flag_prob = postselect_flag(s)
     s, clock_prob = postselect_clock_zero(s)
@@ -601,8 +645,10 @@ def measure_computational(state, shots: int, seed: int) -> np.ndarray:
     if shots < 1:
         raise ConfigError("need at least one shot")
     if isinstance(state, QuantumState):
-        probs = np.abs(state.amplitudes) ** 2
-        marginal = probs.sum(axis=0).sum(axis=1)
+        amp_t = state.amplitudes.T
+        marginal = np.zeros(amp_t.shape[1])
+        for f in _live_flags(amp_t):
+            marginal += (np.abs(amp_t[f]) ** 2).sum(axis=-1)
     else:
         marginal = np.abs(as_complex_vector(state)) ** 2
     total = marginal.sum()

@@ -7,8 +7,12 @@ overlap, a clock-axis FFT, the rotation and postselection on whole
 (T, D) flag slices, and sums over clock and flag at once for the
 reductions.  The primitives work on the clock-contiguous transpose and
 reorder the same arithmetic, so they must agree to rounding, for input
-in either memory order.  Most are hypothesis property tests; the module
-is skipped where hypothesis is not installed.
+in either memory order.  On states with one flag slice exactly zero the
+reflection, the evolution and the QFT must return that slice exactly
+zero and each live slice bit for bit as when the other slice holds
+amplitudes, and the rotation must equal its formula bit for bit.  Most
+are hypothesis property tests; the module is skipped where hypothesis is
+not installed.
 """
 
 import tracemalloc
@@ -288,6 +292,96 @@ def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, window
     assert abs(info.flag_probability - ref_flag) <= TOL
     assert abs(info.clock_zero_probability - ref_clock) <= TOL
     assert abs(info.oracle_distance - ref_distance) <= TOL
+
+
+# --- zero flag slices ------------------------------------------------------------
+
+FLAG_SETS = st.sampled_from([(0,), (1,), (0, 1)])
+
+
+def _flag_state(rng, t, d, live, order, hole):
+    """Random amplitudes on the flags in ``live``, exact zeros on the other.
+
+    With ``hole`` every flag is zero at clock 0, so a live slice looks
+    like a zero one there.
+    """
+    amp = np.zeros((t, d, 2), dtype=complex)
+    for f in live:
+        amp[:, :, f] = rng.normal(size=(t, d)) + 1j * rng.normal(size=(t, d))
+    if hole:
+        amp[0] = 0
+    return QuantumState(layout=RegisterLayout(clock_size=t, system_dim=d),
+                        amplitudes=np.asarray(amp, order=order))
+
+
+def _with_other_slice(rng, state, f):
+    """``state`` with the slice of the flag other than ``f`` made fresh random."""
+    amp = state.amplitudes.copy(order="K")
+    t, d = amp.shape[:2]
+    amp[:, :, 1 - f] = rng.normal(size=(t, d)) + 1j * rng.normal(size=(t, d))
+    return QuantumState(layout=state.layout, amplitudes=amp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(0.0, 50.0),
+    window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
+    live=FLAG_SETS,
+    hole=st.booleans(),
+    order=ORDERS,
+)
+def test_flag_blind_stages_skip_zero_slices(t, d, seed, t0, window, live, hole, order):
+    rng = np.random.default_rng(seed)
+    state = _flag_state(rng, t, d, live, order, hole)
+    eig = _random_eig(rng, d)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=1.0,
+                                mode=MODE_MULTIPLY, window=window)
+    vec = clock_window(t, window)
+    stages = [
+        (lambda s: reflect_clock_window(s, vec), lambda s: _ref_reflect_clock_window(s, vec)),
+        (lambda s: conditional_evolution(s, eig, cfg),
+         lambda s: _ref_conditional_evolution(s, eig, cfg)),
+        (lambda s: conditional_evolution(s, eig, cfg, inverse=True),
+         lambda s: _ref_conditional_evolution(s, eig, cfg, inverse=True)),
+        (lambda s: qft_clock(s, "forward"), lambda s: _ref_qft_clock(s, "forward")),
+        (lambda s: qft_clock(s, "inverse"), lambda s: _ref_qft_clock(s, "inverse")),
+    ]
+    for stage, ref_stage in stages:
+        out = stage(state).amplitudes
+        ref = ref_stage(state).amplitudes
+        for f in range(2):
+            if f not in live:
+                assert not out[:, :, f].any()
+                continue
+            assert np.max(np.abs(out[:, :, f] - ref[:, :, f])) <= TOL
+            # Whatever the other slice holds, zero or not, this one is
+            # computed by the same arithmetic.
+            other = stage(_with_other_slice(rng, state, f)).amplitudes
+            np.testing.assert_array_equal(other[:, :, f], out[:, :, f])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(0.1, 50.0),
+    scale=st.floats(0.01, 1.0),
+    mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
+    live=FLAG_SETS,
+    hole=st.booleans(),
+    order=ORDERS,
+)
+def test_rotation_drops_only_the_terms_of_zero_slices(t, d, seed, t0, scale, mode, live,
+                                                     hole, order):
+    rng = np.random.default_rng(seed)
+    state = _flag_state(rng, t, d, live, order, hole)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=scale, mode=mode)
+    np.testing.assert_array_equal(controlled_rotation(state, cfg).amplitudes,
+                                  _ref_controlled_rotation(state, cfg).amplitudes)
 
 
 # --- the phase table -------------------------------------------------------------
