@@ -41,20 +41,6 @@ changes are BLAS matrix products over blocks of clock columns, and the
 window reflection, the QFT and the flag rotation stream whole clock
 rows.  The primitives accept either layout.
 
-Flag slices
------------
-Only the flag rotation acts on the flag, and every other stage
-transforms the two flag slices ``amplitudes.T[0]`` and
-``amplitudes.T[1]`` independently.  So a slice that is exactly zero
-stays exactly zero: the reflection, the evolution and the QFT compute
-only the slices that hold a nonzero amplitude and write exact zeros into
-the other, and the rotation drops the terms of a zero input slice.
-Skipping a zero slice changes no bit of the live one.  A pass starts
-flag-|0>, so its forward half runs on flag 0 alone.  It keeps only the
-flag-1 branch, and projecting onto it commutes with the uncomputation,
-which does not touch the flag; so the pass zeroes the rotation's flag-0
-slice and its backward half runs on flag 1 alone.
-
 The one exception is ``postselect_flag``.  Its result is C-ordered,
 because it sums the flag-1 probability over that array's strided flag-1
 slice.  That is the summation order of the earlier C-ordered layout, so
@@ -64,11 +50,26 @@ relative off an exactly rounded sum, where the strided sum was up to
 3.8e-12), but it moves the probabilities by more than 1e-12.  The next
 step reads only clock 0, so this layout costs nothing.
 
+Flag slices
+-----------
+Only the flag rotation acts on the flag, and every other stage
+transforms the two flag slices ``amplitudes.T[0]`` and
+``amplitudes.T[1]`` independently.  So a slice that is exactly zero
+stays exactly zero: the reflection, the evolution and the QFT compute
+only the slices that hold a nonzero amplitude and write exact zeros into
+the other, and the rotation drops the terms of a zero flag-1 input.
+Skipping a zero slice changes no bit of the live one.  A pass starts
+flag-|0>, so its forward half runs on flag 0 alone.  It keeps only the
+flag-1 branch, and projecting onto it commutes with the uncomputation,
+which does not touch the flag; so the pass zeroes the rotation's flag-0
+slice and its backward half runs on flag 1 alone.
+
 Every operation is pure: states are treated as immutable and new arrays
-are returned.  Only postselection is non-unitary; it reports the exact
-branch probability instead of sampling.  Physical sampling happens only
-where statistics are the point: the swap test and computational-basis
-measurement.
+are returned (the pass's flag-0 drop writes into the rotation's fresh
+output, which nothing else holds).  Only postselection is non-unitary;
+it reports the exact branch probability instead of sampling.  Physical
+sampling happens only where statistics are the point: the swap test and
+computational-basis measurement.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ class RegisterLayout:
 @dataclass(frozen=True)
 class QuantumState:
     layout: RegisterLayout
-    amplitudes: np.ndarray  # shape (T, D, 2), clock axis contiguous; do not mutate
+    # Shape (T, D, 2), clock axis contiguous.  Do not mutate, with one
+    # exception: apply_hermitian_via_pe clears flag 0 of the fresh array
+    # controlled_rotation has just returned to it.
+    amplitudes: np.ndarray
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -385,7 +389,7 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
     amp_t = state.amplitudes.T
     new_amp = np.zeros(amp_t.shape, dtype=complex)
     for f in _live_flags(amp_t):
-        transform(np.ascontiguousarray(amp_t[f]), axis=-1, norm="ortho", out=new_amp[f])
+        new_amp[f] = transform(np.ascontiguousarray(amp_t[f]), axis=-1, norm="ortho")
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -428,22 +432,20 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
 
     Maps |0> -> c|0> + w|1> and |1> -> -w|0> + c|1> with c = sqrt(1-w^2),
     so the operation is unitary regardless of the incoming flag state.
+    The result always holds a fresh array that no other state shares.
     """
     w = rotation_weights(config)
     c = np.sqrt(1.0 - w**2)
-    # Output flag g is the sum over live input flags f of weights[g][f] * a_f:
-    # c*a0 - w*a1 and w*a0 + c*a1 without the terms of a zero slice.
-    weights = ((c, -w), (w, c))
     amp_t = state.amplitudes.T
-    live = _live_flags(amp_t)
-    new_amp = np.zeros(amp_t.shape, dtype=complex)
-    if live:
-        first, *rest = live
-        term = np.empty(amp_t.shape[1:], dtype=complex) if rest else None
-        for g, row in enumerate(weights):
-            np.multiply(row[first], amp_t[first], out=new_amp[g])
-            for f in rest:
-                new_amp[g] += np.multiply(row[f], amp_t[f], out=term)
+    new_amp = np.empty(amp_t.shape, dtype=complex)
+    # c*a0 - w*a1 and w*a0 + c*a1; the a1 terms only when flag 1 is live,
+    # with one half-state buffer for them.
+    np.multiply(c, amp_t[0], out=new_amp[0])
+    np.multiply(w, amp_t[0], out=new_amp[1])
+    if 1 in _live_flags(amp_t):
+        term = np.empty(amp_t.shape[1:], dtype=complex)
+        new_amp[0] -= np.multiply(w, amp_t[1], out=term)
+        new_amp[1] += np.multiply(c, amp_t[1], out=term)
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -492,13 +494,10 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
 
 def extract_system_vector(state: QuantumState) -> np.ndarray:
     """System-register vector of a state whose clock and flag are definite."""
-    amp_t = state.amplitudes.T
+    amp = state.amplitudes
     # Valid once only one branch is populated.  Summing the clock axis
-    # first reduces along whole rows and adds the same nonzero terms; a
-    # zero flag slice adds nothing.
-    collapsed = np.zeros(amp_t.shape[1], dtype=complex)
-    for f in _live_flags(amp_t):
-        collapsed += amp_t[f].sum(axis=-1)
+    # first reduces along whole rows and adds the same nonzero terms.
+    collapsed = amp.sum(axis=0).sum(axis=1)
     norm = np.linalg.norm(collapsed)
     if abs(norm - 1.0) > 1e-6:
         raise DimensionError(
@@ -556,7 +555,7 @@ def apply_hermitian_via_pe(
     s = controlled_rotation(s, config)
     # Only flag 1 is kept, and the uncomputation leaves the flag alone, so
     # flag 0 can be dropped now (see "Flag slices" in the module docstring).
-    # The array is this pass's own fresh output.
+    # The rotation's array is fresh and held by nothing else.
     s.amplitudes.T[0] = 0
     s = uncompute_clock(s, eig, config)
     s, flag_prob = postselect_flag(s)
@@ -645,10 +644,8 @@ def measure_computational(state, shots: int, seed: int) -> np.ndarray:
     if shots < 1:
         raise ConfigError("need at least one shot")
     if isinstance(state, QuantumState):
-        amp_t = state.amplitudes.T
-        marginal = np.zeros(amp_t.shape[1])
-        for f in _live_flags(amp_t):
-            marginal += (np.abs(amp_t[f]) ** 2).sum(axis=-1)
+        probs = np.abs(state.amplitudes) ** 2
+        marginal = probs.sum(axis=0).sum(axis=1)
     else:
         marginal = np.abs(as_complex_vector(state)) ** 2
     total = marginal.sum()
