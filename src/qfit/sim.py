@@ -38,17 +38,9 @@ is a C-contiguous (flag, system, clock) array.  Every stage of a pass
 acts along the clock axis, so each primitive works on ``amplitudes.T``
 and returns ``result.T``, which is clock-contiguous again: the basis
 changes are BLAS matrix products over blocks of clock columns, and the
-window reflection, the QFT and the flag rotation stream whole clock
-rows.  The primitives accept either layout.
-
-The one exception is ``postselect_flag``.  Its result is C-ordered,
-because it sums the flag-1 probability over that array's strided flag-1
-slice.  That is the summation order of the earlier C-ordered layout, so
-the reported probabilities stay where they were.  A sum over the
-clock-contiguous branch is more accurate (at T = 65536 it was 1.7e-13
-relative off an exactly rounded sum, where the strided sum was up to
-3.8e-12), but it moves the probabilities by more than 1e-12.  The next
-step reads only clock 0, so this layout costs nothing.
+window reflection, the QFT, the flag rotation and the flag
+postselection stream whole clock rows.  The primitives accept either
+layout.
 
 Flag slices
 -----------
@@ -467,18 +459,16 @@ def uncompute_clock(
 def postselect_flag(state: QuantumState) -> tuple[QuantumState, float]:
     """Project onto flag = 1 and renormalize; exact probability.
 
-    The result is C-ordered and the probability is summed over its
-    strided flag-1 slice, in the order of the earlier C-ordered simulator
-    (see the module docstring), whatever the input's layout.
+    The probability is summed over the clock-contiguous flag-1 slice and
+    the result is clock-contiguous.
     """
-    new_amp = np.zeros(state.amplitudes.shape, dtype=complex)
-    branch = new_amp[:, :, 1]
-    branch[...] = state.amplitudes[:, :, 1]
+    branch = np.ascontiguousarray(state.amplitudes.T[1])
     prob = float(np.vdot(branch, branch).real)
     if not prob > 1e-300:  # also catches NaN
         raise PostselectionError("flag=1 branch has zero probability")
-    branch /= np.sqrt(prob)
-    return QuantumState(layout=state.layout, amplitudes=new_amp), prob
+    new_amp = np.zeros(state.amplitudes.T.shape, dtype=complex)
+    np.divide(branch, np.sqrt(prob), out=new_amp[1])
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T), prob
 
 
 def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:

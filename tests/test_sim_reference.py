@@ -15,6 +15,7 @@ are hypothesis property tests; the module is skipped where hypothesis is
 not installed.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import qfit.sim  # noqa: E402
+from qfit.algorithms import VARIANT_FUSED, RunSettings, estimate_fit_quality  # noqa: E402
 from qfit.exceptions import DimensionError  # noqa: E402
 from qfit.linalg import apply_matrix_function, eig_hermitian, embed  # noqa: E402
+from qfit.problems import ProblemSpec, generate_problem  # noqa: E402
 from qfit.sim import (  # noqa: E402
     MODE_INVERT,
     MODE_MULTIPLY,
@@ -35,6 +39,7 @@ from qfit.sim import (  # noqa: E402
     PhaseEstimationConfig,
     QuantumState,
     RegisterLayout,
+    SwapTestPlan,
     _phase_table,
     apply_hermitian_via_pe,
     clock_window,
@@ -58,6 +63,8 @@ from conftest import random_complex_matrix, random_complex_vector  # noqa: E402
 CLOCKS = st.sampled_from([2**k for k in range(1, 9)])
 ORDERS = st.sampled_from(["C", "F"])
 TOL = 1e-12
+# Relative distance of a reported flag probability from an exactly rounded sum.
+FSUM_TOL = 5e-13
 
 
 def _direct_phases(eigenvalues, cfg, inverse):
@@ -145,6 +152,12 @@ def _full_state(rng, t, d, order="C"):
                         amplitudes=np.asarray(amp, order=order))
 
 
+def _fsum_prob(state):
+    """Flag-1 probability as ``math.fsum`` of the squared real and imaginary parts."""
+    branch = state.amplitudes[:, :, 1].ravel()
+    return math.fsum(branch.real**2) + math.fsum(branch.imag**2)
+
+
 def _clock_contiguous(state):
     return state.amplitudes.T.flags.c_contiguous
 
@@ -222,12 +235,10 @@ def test_rotation_and_flag_postselection_match_reference(t, d, seed, t0, scale, 
     ref_selected, ref_prob = _ref_postselect_flag(state)
     assert abs(prob - ref_prob) <= TOL * ref_prob
     assert np.max(np.abs(selected.amplitudes - ref_selected.amplitudes)) <= TOL
-    # The one C-ordered result: the probability is summed in that order,
-    # bit for bit as the reference does on C-ordered input, and so it is
-    # the same number for either input layout.
-    assert selected.amplitudes.flags.c_contiguous
-    if order == "C":
-        assert prob == ref_prob
+    # Summed over the clock-contiguous flag-1 slice, close to an exactly
+    # rounded sum, and the same number for either input layout.
+    assert _clock_contiguous(selected)
+    assert abs(prob - _fsum_prob(state)) <= FSUM_TOL * prob
     other = "F" if order == "C" else "C"
     relaid = QuantumState(layout=state.layout,
                           amplitudes=np.asarray(state.amplitudes, order=other))
@@ -425,6 +436,27 @@ def test_inverse_evolution_undoes_forward_at_long_clock():
     phases = _phase_table(eig.eigenvalues, cfg, inverse=False).T
     ref = _ref_conditional_evolution(state, eig, cfg, phases=phases).amplitudes
     assert np.max(np.abs(there.amplitudes - ref)) <= TOL
+
+
+def test_flag_probability_is_close_to_an_exactly_rounded_sum(monkeypatch):
+    # The projection pass of a long-clock run: the clock is almost back at
+    # |0>, and a sum over the strided (clock, system) order of the flag-1
+    # branch ends about 1e-12 relative off.
+    problem = generate_problem(ProblemSpec(n=6, m=2, condition_target=4.0), seed=0)
+    run_settings = RunSettings(clock_size=LONG_CLOCK, window=WINDOW_SINE,
+                               variant=VARIANT_FUSED, epsilon=5e-4)
+    seen = []
+
+    def postselect(state):
+        selected, prob = postselect_flag(state)
+        seen.append((state, prob))
+        return selected, prob
+
+    monkeypatch.setattr(qfit.sim, "postselect_flag", postselect)
+    estimate_fit_quality(problem, run_settings, SwapTestPlan(shots=1))
+    state, prob = seen[-1]
+    assert state.amplitudes.shape == (LONG_CLOCK, LONG_DIM, 2)
+    assert abs(prob - _fsum_prob(state)) <= FSUM_TOL * prob
 
 
 def _max_error(table, exact):
