@@ -16,7 +16,8 @@ shape (T, D, 2):
 Conventions
 -----------
 * Conditional evolution applies exp(-i * H * tau * t0 / T) on the clock
-  branch tau, computed exactly from the spectral decomposition of H.
+  branch tau, exactly, as one phase per eigenvalue of H (see
+  "Eigenbasis").
 * The forward clock Fourier transform uses the kernel
   exp(+2*pi*i*k*tau/T)/sqrt(T).
 * Frequency bins decode to signed eigenvalue estimates: bins k >= T/2
@@ -31,16 +32,27 @@ Conventions
   adjoint are one self-inverse reflection exchanging clock state |0> and
   the window vector, so both directions are exactly unitary.
 
+Eigenbasis
+----------
+Between passes the system register is in the basis above.  Inside a
+pass it is held in H's eigenbasis: every stage but the two evolutions
+acts only on the clock and the flag, so the whole pass commutes with the
+change of basis.  ``apply_hermitian_via_pe`` maps its input vector into
+the eigenbasis once (V^dag psi, one D x D product), runs every stage on
+those coordinates and maps the surviving clock-0, flag-1 row back once
+(V times that row).  There the evolutions are diagonal phase products,
+not BLAS basis changes; ``conditional_evolution`` and
+``uncompute_clock`` take their state's system register in that basis.
+
 Memory order
 ------------
 States are allocated clock-contiguous (``order="F"``): ``amplitudes.T``
 is a C-contiguous (flag, system, clock) array.  Every stage of a pass
 acts along the clock axis, so each primitive works on ``amplitudes.T``
-and returns ``result.T``, which is clock-contiguous again: the basis
-changes are BLAS matrix products over blocks of clock columns, and the
-window reflection, the QFT, the flag rotation and the flag
-postselection stream whole clock rows.  The primitives accept either
-layout.
+and returns ``result.T``, which is clock-contiguous again: the window
+reflection, the evolution's phase product, the QFT, the flag rotation
+and the flag postselection stream whole clock rows.  The primitives
+accept either layout.
 
 Flag slices
 -----------
@@ -92,10 +104,6 @@ MODE_INVERT = "invert"
 
 # Slack for validating rotation-scale bounds against the spectrum.
 _C_BOUND_SLACK = 1e-9
-
-# Amplitudes per flag in one clock block of ``conditional_evolution``:
-# a block of both flags is 2 MB, so it stays in cache between the steps.
-_BLOCK_AMPLITUDES = 1 << 16
 
 # 2*pi to long-double precision, for reducing phase-table arguments.
 _TWO_PI = 2 * np.arccos(np.longdouble(-1))
@@ -319,27 +327,17 @@ def conditional_evolution(
 ) -> QuantumState:
     """Apply exp(-i*H*tau*t0/T) on each clock branch tau (exact, spectral).
 
-    Runs over blocks of whole clock columns: each block goes into the
-    eigenbasis, takes its phases and comes back with one BLAS matrix
-    product per live flag while it is in cache, and is written straight into
-    the one new state.  The results match the plain loop to rounding, not
-    bit for bit, and depend on the BLAS thread count in the last digits.
+    The state's system register is written in ``eig``'s eigenbasis, where
+    the evolution is diagonal: each live flag slice is multiplied by the
+    phase table, one phase per eigenvalue and clock step.
     """
     if eig.eigenvectors.shape[0] != state.layout.system_dim:
         raise DimensionError("operator dimension does not match system register")
     amp_t = state.amplitudes.T
-    vecs = eig.eigenvectors
-    to_eigen = vecs.conj().T
     table = _phase_table(eig.eigenvalues, config, inverse)
-    live = _live_flags(amp_t)
     new_amp = np.zeros(amp_t.shape, dtype=complex)
-    block = max(1, _BLOCK_AMPLITUDES // state.layout.system_dim)
-    for lo in range(0, state.layout.clock_size, block):
-        cols = slice(lo, lo + block)
-        for f in live:
-            in_eigen = to_eigen @ amp_t[f, :, cols]
-            in_eigen *= table[:, cols]
-            np.matmul(vecs, in_eigen, out=new_amp[f, :, cols])
+    for f in _live_flags(amp_t):
+        np.multiply(amp_t[f], table, out=new_amp[f])
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -447,7 +445,8 @@ def uncompute_clock(
     """Reverse the phase-estimation front end.
 
     Inverse QFT, inverse conditional evolution, then the window
-    reflection.  When every populated eigenvalue sits exactly on a bin
+    reflection, on a state whose system register is in ``eig``'s
+    eigenbasis.  When every populated eigenvalue sits exactly on a bin
     (E*t0/(2*pi) integral, uniform window) the clock returns exactly to
     |0>; otherwise the weight left outside |0> measures the leakage.
     """
@@ -527,19 +526,23 @@ def apply_hermitian_via_pe(
 ) -> tuple[QuantumState, PhaseEstimationPass]:
     """One full eigenvalue-arithmetic pass on a clock-and-flag-fresh state.
 
-    Window preparation, conditional evolution, clock QFT, flag rotation,
-    uncomputation, then postselection of flag = 1 followed by clock = |0>.
-    The result is a fresh state (clock |0>, flag |0>) whose system register
-    approximates f(H)|psi> / ||f(H)|psi>|| with f set by the mode, together
-    with exact pass diagnostics.
+    The system vector goes into H's eigenbasis, then: window preparation,
+    conditional evolution, clock QFT, flag rotation, uncomputation, and
+    postselection of flag = 1 followed by clock = |0>.  The surviving
+    system row comes back out of the eigenbasis.  The result is a fresh
+    state (clock |0>, flag |0>) whose system register approximates
+    f(H)|psi> / ||f(H)|psi>|| with f set by the mode, together with exact
+    pass diagnostics.
     """
     if eig is None:
         eig = eig_hermitian(op)
     validate_config(config, eig.eigenvalues)
     psi_in = extract_system_vector(state)
+    vecs = eig.eigenvectors
 
     window = clock_window(config.clock_size, config.window)
-    s = reflect_clock_window(state, window)
+    s = state_from_system_vector(vecs.conj().T @ psi_in, state.layout)
+    s = reflect_clock_window(s, window)
     s = conditional_evolution(s, eig, config)
     s = qft_clock(s, "forward")
     s = controlled_rotation(s, config)
@@ -551,7 +554,7 @@ def apply_hermitian_via_pe(
     s, flag_prob = postselect_flag(s)
     s, clock_prob = postselect_clock_zero(s)
 
-    out_vec = s.amplitudes[0, :, 1]
+    out_vec = vecs @ s.amplitudes[0, :, 1]
     exact = apply_matrix_function(eig, _mode_function(config.mode), psi_in)
     exact_norm = np.linalg.norm(exact)
     if exact_norm > 0:

@@ -18,6 +18,7 @@ from qfit.sim import (
     clock_window,
     conditional_evolution,
     controlled_rotation,
+    data_state_vector,
     decode_eigenvalue,
     exact_overlap_sq,
     extract_system_vector,
@@ -44,6 +45,15 @@ def _force_amp(layout, amp):
     from qfit.sim import QuantumState
 
     return QuantumState(layout=layout, amplitudes=amp)
+
+
+def _in_eigenbasis(eig, vector, layout):
+    """Clock-and-flag-fresh state of ``vector``'s coordinates in ``eig``'s eigenbasis.
+
+    The evolution and the uncomputation take the system register in H's
+    eigenbasis, as ``apply_hermitian_via_pe`` holds it inside a pass.
+    """
+    return state_from_system_vector(eig.eigenvectors.conj().T @ vector, layout)
 
 
 def _clock_zero_weight(state):
@@ -148,14 +158,16 @@ class TestConditionalEvolution:
     def test_eigenvector_accumulates_clock_phase(self):
         layout = RegisterLayout(clock_size=8, system_dim=2)
         eigvec = np.array([1.0, 1.0]) / np.sqrt(2)  # eigenvalue +1 of PAULI_X
-        state = state_from_system_vector(eigvec, layout)
+        eig = eig_hermitian(PAULI_X)
+        state = _in_eigenbasis(eig, eigvec, layout)
         spread = reflect_clock_window(state, clock_window(8, WINDOW_UNIFORM))
         cfg = config()
-        out = conditional_evolution(spread, eig_hermitian(PAULI_X), cfg)
+        out = conditional_evolution(spread, eig, cfg)
         tau = np.arange(8)
         expected = np.exp(-1j * tau * cfg.t0 / 8) / np.sqrt(8)
         np.testing.assert_allclose(
-            out.amplitudes[:, :, 0], np.outer(expected, eigvec), atol=1e-12
+            out.amplitudes[:, :, 0] @ eig.eigenvectors.T, np.outer(expected, eigvec),
+            atol=1e-12,
         )
 
     def test_unitary(self, rng):
@@ -312,7 +324,7 @@ class TestUncompute:
         op = embed(prob.design_matrix)
         eig = eig_hermitian(op)
         layout = RegisterLayout(clock_size=64, system_dim=op.dim)
-        state = prepare_data_state(prob, layout)
+        state = _in_eigenbasis(eig, data_state_vector(prob), layout)
         cfg = config(T=64, t0=t0, C=0.5, mode=MODE_MULTIPLY)
         s = reflect_clock_window(state, clock_window(64, WINDOW_UNIFORM))
         s = conditional_evolution(s, eig, cfg)
@@ -331,7 +343,7 @@ class TestUncompute:
         for octave, T in enumerate((64, 128, 256)):
             layout = RegisterLayout(clock_size=T, system_dim=op.dim)
             cfg = config(T=T, t0=8.0 * 2**octave, C=0.5, window=WINDOW_SINE)
-            s = prepare_data_state(prob, layout)
+            s = _in_eigenbasis(eig, data_state_vector(prob), layout)
             s = reflect_clock_window(s, clock_window(T, WINDOW_SINE))
             s = conditional_evolution(s, eig, cfg)
             s = qft_clock(s, "forward")
@@ -431,7 +443,7 @@ class TestFullPass:
         idx = int(np.argmax(eig.eigenvalues))
         layout = RegisterLayout(clock_size=64, system_dim=op.dim)
         cfg = config(T=64, t0=t0)
-        s = state_from_system_vector(eig.eigenvectors[:, idx], layout)
+        s = _in_eigenbasis(eig, eig.eigenvectors[:, idx], layout)
         s = reflect_clock_window(s, clock_window(64, WINDOW_UNIFORM))
         s = conditional_evolution(s, eig, cfg)
         s = qft_clock(s, "forward")
@@ -449,7 +461,7 @@ class TestFullPass:
         layout = RegisterLayout(clock_size=64, system_dim=2)
         t0 = 23.7
         cfg = config(T=64, t0=t0, window=WINDOW_SINE)
-        s = state_from_system_vector(eig.eigenvectors[:, 1], layout)
+        s = _in_eigenbasis(eig, eig.eigenvectors[:, 1], layout)
         s = reflect_clock_window(s, clock_window(64, WINDOW_SINE))
         s = conditional_evolution(s, eig, cfg)
         s = qft_clock(s, "forward")
@@ -485,7 +497,7 @@ class TestFullPass:
         eig = eig_hermitian(op)
         layout = RegisterLayout(clock_size=64, system_dim=op.dim)
         cfg = config(T=64, t0=t0, C=0.4, window=WINDOW_SINE)
-        s = prepare_data_state(prob, layout)
+        s = _in_eigenbasis(eig, data_state_vector(prob), layout)
         for step in (
             lambda st: reflect_clock_window(st, clock_window(64, WINDOW_SINE)),
             lambda st: conditional_evolution(st, eig, cfg),
