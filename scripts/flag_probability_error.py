@@ -3,13 +3,16 @@
     PYTHONPATH=<tree>/src python3 scripts/flag_probability_error.py [--threads N]
 
 Replays the ``run-long-clock`` invocations of ``compare_reports.py``
-against the ``qfit`` on ``PYTHONPATH``, with ``qfit.sim.postselect_flag``
-and ``qfit.sim.postselect_clock_zero`` wrapped from outside.  For each
-pass it prints the reported flag probability and clock-zero probability,
-each with its relative error against an exactly rounded reference:
-``math.fsum`` of the squared real and imaginary parts of the flag-1
-branch, and of that branch's clock-0 row divided by the former.  Pass
-``i`` of an invocation is ``successProbabilities[i]`` of its report.
+against the ``qfit`` on ``PYTHONPATH``, with ``qfit.sim.uncompute_clock``
+and ``qfit.algorithms.apply_hermitian_via_pe`` wrapped from outside.
+Each pass calls ``uncompute_clock`` once, and the flag-1 slice of its
+output is the branch the pass keeps.  For each pass it prints the flag
+probability and clock-zero probability of the pass info it returns, each
+with its relative error against an exactly rounded reference:
+``math.fsum`` of the squared real and imaginary parts of that branch,
+and of the branch's clock-0 row divided by the former.  Pass ``i`` of an
+invocation is ``successProbabilities[i]`` of its report.  Exits 1 when
+it sees no pass, so a tree whose passes it cannot follow fails.
 """
 
 from __future__ import annotations
@@ -37,30 +40,31 @@ def main() -> int:
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     import compare_reports
+    import qfit.algorithms
     import qfit.cli
     import qfit.sim
 
     rows: list[tuple[str, int, float, float, float, float]] = []
     current: dict = {}
-    select_flag, select_clock = qfit.sim.postselect_flag, qfit.sim.postselect_clock_zero
+    uncompute, apply_pass = qfit.sim.uncompute_clock, qfit.algorithms.apply_hermitian_via_pe
 
-    def postselect_flag(state):
-        selected, prob = select_flag(state)
-        current.update(branch=state.amplitudes[:, :, 1], flag=prob)
-        return selected, prob
+    def uncompute_clock(*args):
+        out = uncompute(*args)
+        current["branch"] = out.amplitudes[:, :, 1]
+        return out
 
-    def postselect_clock_zero(state):
-        selected, clock_prob = select_clock(state)
+    def apply_hermitian_via_pe(*args, **kwargs):
+        fresh, info = apply_pass(*args, **kwargs)
         branch = current.pop("branch", None)
-        if branch is not None:  # a pass: the flag was postselected just before
+        if branch is not None:
             ref_flag = _fsum_sq(branch)
-            rows.append((current["name"], current["pass"], current["flag"], ref_flag,
-                         clock_prob, _fsum_sq(branch[0]) / ref_flag))
-            current["pass"] += 1
-        return selected, clock_prob
+            rows.append((current["name"], current["pass"], info.flag_probability, ref_flag,
+                         info.clock_zero_probability, _fsum_sq(branch[0]) / ref_flag))
+        current["pass"] += 1
+        return fresh, info
 
-    qfit.sim.postselect_flag = postselect_flag
-    qfit.sim.postselect_clock_zero = postselect_clock_zero
+    qfit.sim.uncompute_clock = uncompute_clock
+    qfit.algorithms.apply_hermitian_via_pe = apply_hermitian_via_pe
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in compare_reports.OPS:
@@ -82,7 +86,7 @@ def main() -> int:
         print(f"{name} {i} {flag!r} {flag_err:.3g} {clock!r} {clock_err:.3g}")
     print(f"{len(rows)} passes, worst relative error: flagProbability {worst_flag:.3g}, "
           f"clockZeroProbability {worst_clock:.3g}, BLAS threads {args.threads}")
-    return 0
+    return 0 if rows else 1
 
 
 if __name__ == "__main__":

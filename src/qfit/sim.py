@@ -30,7 +30,8 @@ Conventions
   sqrt(2/T)*sin(pi*(tau+1/2)/T)) trades that exactness for much faster
   tail decay on incommensurate spectra.  Window preparation and its
   adjoint are one self-inverse reflection exchanging clock state |0> and
-  the window vector, so both directions are exactly unitary.
+  the window vector, so both directions are exactly unitary.  A pass
+  writes the image of clock |0>, the window itself, directly.
 
 Eigenbasis
 ----------
@@ -62,15 +63,18 @@ transforms the two flag slices ``amplitudes.T[0]`` and
 stays exactly zero: the reflection, the evolution and the QFT compute
 only the slices that hold a nonzero amplitude and write exact zeros into
 the other, and the rotation drops the terms of a zero flag-1 input.
-Skipping a zero slice changes no bit of the live one.  A pass starts
-flag-|0>, so its forward half runs on flag 0 alone.  It keeps only the
-flag-1 branch, and projecting onto it commutes with the uncomputation,
-which does not touch the flag; so the pass zeroes the rotation's flag-0
-slice and its backward half runs on flag 1 alone.
+Skipping a zero slice changes no bit of the live one.  A pass builds
+only the branch it keeps.  It starts flag-|0>, so it writes its first
+state as window (x) V^dag psi on flag 0, and its forward half runs on
+flag 0 alone.  It keeps only the flag-1 branch, and projecting onto it
+commutes with the uncomputation, which does not touch the flag; so of
+the rotation it writes only the flag-1 output, w_k times the flag-0
+slice, and its backward half runs on flag 1 alone.  It then reads the
+flag probability from the flag-1 slice and the clock-zero probability
+from that slice's clock-0 row, where they lie.
 
 Every operation is pure: states are treated as immutable and new arrays
-are returned (the pass's flag-0 drop writes into the rotation's fresh
-output, which nothing else holds).  Only postselection is non-unitary;
+are returned.  Only postselection is non-unitary;
 it reports the exact branch probability instead of sampling.  Physical
 sampling happens only where statistics are the point: the swap test and
 computational-basis measurement.
@@ -146,9 +150,7 @@ class RegisterLayout:
 @dataclass(frozen=True)
 class QuantumState:
     layout: RegisterLayout
-    # Shape (T, D, 2), clock axis contiguous.  Do not mutate, with one
-    # exception: apply_hermitian_via_pe clears flag 0 of the fresh array
-    # controlled_rotation has just returned to it.
+    # Shape (T, D, 2), clock axis contiguous.  Do not mutate.
     amplitudes: np.ndarray
 
     def norm_sq(self) -> float:
@@ -518,6 +520,31 @@ def phase_distance(a, b) -> float:
     return float(np.linalg.norm(av - phase * bv))
 
 
+def _windowed_state(
+    coords: np.ndarray, window: np.ndarray, layout: RegisterLayout
+) -> QuantumState:
+    """window (x) ``coords`` on flag 0, exact zeros on flag 1.
+
+    What ``reflect_clock_window`` makes of ``coords`` at clock |0>, flag
+    |0>, written directly: the reflection maps clock |0> to the window.
+    """
+    if window.shape != (layout.clock_size,):
+        raise DimensionError("window length does not match clock size")
+    amp_t = np.zeros((2, layout.system_dim, layout.clock_size), dtype=complex)
+    np.multiply(coords[:, None], window, out=amp_t[0])
+    return QuantumState(layout=layout, amplitudes=amp_t.T)
+
+
+def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> QuantumState:
+    """The flag-1 output w_k * a0 of the rotation on a flag-0 state, flag 0 zero.
+
+    Of ``controlled_rotation``'s output the pass keeps only this branch.
+    """
+    amp_t = np.zeros(state.amplitudes.T.shape, dtype=complex)
+    np.multiply(rotation_weights(config), state.amplitudes.T[0], out=amp_t[1])
+    return QuantumState(layout=state.layout, amplitudes=amp_t.T)
+
+
 def apply_hermitian_via_pe(
     state: QuantumState,
     op: EmbeddedOperator,
@@ -528,11 +555,13 @@ def apply_hermitian_via_pe(
 
     The system vector goes into H's eigenbasis, then: window preparation,
     conditional evolution, clock QFT, flag rotation, uncomputation, and
-    postselection of flag = 1 followed by clock = |0>.  The surviving
-    system row comes back out of the eigenbasis.  The result is a fresh
-    state (clock |0>, flag |0>) whose system register approximates
-    f(H)|psi> / ||f(H)|psi>|| with f set by the mode, together with exact
-    pass diagnostics.
+    postselection of flag = 1 followed by clock = |0>.  Only the kept
+    branch is built: the window state is written directly, the rotation's
+    flag-1 output alone, and both postselections read the flag-1 slice in
+    place.  The surviving system row comes back out of the eigenbasis.
+    The result is a fresh state (clock |0>, flag |0>) whose system
+    register approximates f(H)|psi> / ||f(H)|psi>|| with f set by the
+    mode, together with exact pass diagnostics.
     """
     if eig is None:
         eig = eig_hermitian(op)
@@ -540,21 +569,26 @@ def apply_hermitian_via_pe(
     psi_in = extract_system_vector(state)
     vecs = eig.eigenvectors
 
+    # Each stage rebinds ``s``: a full-size array still referenced after
+    # the stage that consumes it would add a whole state to the peak.
     window = clock_window(config.clock_size, config.window)
-    s = state_from_system_vector(vecs.conj().T @ psi_in, state.layout)
-    s = reflect_clock_window(s, window)
+    s = _windowed_state(vecs.conj().T @ psi_in, window, state.layout)
     s = conditional_evolution(s, eig, config)
     s = qft_clock(s, "forward")
-    s = controlled_rotation(s, config)
-    # Only flag 1 is kept, and the uncomputation leaves the flag alone, so
-    # flag 0 can be dropped now (see "Flag slices" in the module docstring).
-    # The rotation's array is fresh and held by nothing else.
-    s.amplitudes.T[0] = 0
+    s = _rotated_flag_one(s, config)
     s = uncompute_clock(s, eig, config)
-    s, flag_prob = postselect_flag(s)
-    s, clock_prob = postselect_clock_zero(s)
 
-    out_vec = vecs @ s.amplitudes[0, :, 1]
+    branch = s.amplitudes.T[1]  # clock-contiguous (D, T)
+    flag_prob = float(np.vdot(branch, branch).real)
+    if not flag_prob > 1e-300:  # also catches NaN
+        raise PostselectionError("flag=1 branch has zero probability")
+    row = branch[:, 0] / np.sqrt(flag_prob)
+    clock_prob = float(np.vdot(row, row).real)
+    if not clock_prob > 1e-300:
+        raise PostselectionError("clock |0> branch has zero probability")
+    del s, branch
+
+    out_vec = vecs @ (row / np.sqrt(clock_prob))
     exact = apply_matrix_function(eig, _mode_function(config.mode), psi_in)
     exact_norm = np.linalg.norm(exact)
     if exact_norm > 0:

@@ -423,6 +423,15 @@ class TestFullPass:
         ) == pytest.approx(1.0, abs=1e-10)
         assert info.flag_probability == pytest.approx((0.7 * energy) ** 2, abs=1e-10)
 
+    def test_kernel_input_has_no_flag_branch_to_invert(self):
+        # A kernel vector of H lands wholly on bin 0, whose invert-mode
+        # weight is 0, so the pass's flag-1 branch is exactly zero.
+        op = embed(np.array([[1.0], [0.0]]))
+        layout = RegisterLayout(clock_size=16, system_dim=3)
+        state = state_from_system_vector([0.0, 0.0, 1.0], layout)
+        with pytest.raises(PostselectionError, match="flag=1"):
+            apply_hermitian_via_pe(state, op, config(T=16, C=1.0, mode=MODE_INVERT))
+
     def test_oracle_equivalence_commensurate(self, rng):
         for _ in range(5):
             prob, t0 = commensurate_problem(rng, 4, 3)

@@ -30,6 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import qfit.algorithms  # noqa: E402
 import qfit.sim  # noqa: E402
 from qfit.algorithms import VARIANT_FUSED, RunSettings, estimate_fit_quality  # noqa: E402
 from qfit.exceptions import DimensionError  # noqa: E402
@@ -50,6 +51,7 @@ from qfit.sim import (  # noqa: E402
     RegisterLayout,
     SwapTestPlan,
     _phase_table,
+    _windowed_state,
     apply_hermitian_via_pe,
     clock_window,
     conditional_evolution,
@@ -64,6 +66,7 @@ from qfit.sim import (  # noqa: E402
     reflect_clock_window,
     rotation_weights,
     state_from_system_vector,
+    uncompute_clock,
     validate_config,
 )
 
@@ -377,6 +380,32 @@ def test_eigenbasis_pass_matches_reference_on_repeated_singular_values(
         assert abs(info.oracle_distance - ref_distance) <= TOL
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
+    order=ORDERS,
+)
+def test_window_reflection_of_clock_zero_is_the_window(t, d, seed, window, order):
+    # A pass writes its first state as window (x) v on flag 0 instead of
+    # reflecting clock |0>; the two must agree.
+    v = random_complex_vector(np.random.default_rng(seed), d)
+    layout = RegisterLayout(clock_size=t, system_dim=d)
+    amp = np.zeros((t, d, 2), dtype=complex, order=order)
+    amp[0, :, 0] = v
+    vec = clock_window(t, window)
+    expected = np.outer(vec, v)
+    out = reflect_clock_window(QuantumState(layout=layout, amplitudes=amp), vec).amplitudes
+    assert np.max(np.abs(out[:, :, 0] - expected)) <= TOL
+    assert not out[:, :, 1].any()
+    written = _windowed_state(v, vec, layout)
+    np.testing.assert_array_equal(written.amplitudes[:, :, 0], expected)
+    assert not written.amplitudes[:, :, 1].any()
+    assert _clock_contiguous(written)
+
+
 # --- zero flag slices ------------------------------------------------------------
 
 FLAG_SETS = st.sampled_from([(0,), (1,), (0, 1)])
@@ -518,16 +547,25 @@ def test_flag_probability_is_close_to_an_exactly_rounded_sum(monkeypatch):
     problem = generate_problem(ProblemSpec(n=6, m=2, condition_target=4.0), seed=1112017889)
     run_settings = RunSettings(clock_size=LONG_CLOCK, window=WINDOW_SINE,
                                variant=VARIANT_FUSED, epsilon=5e-4)
-    seen = []
+    # The pass's flag-1 branch is that of its one uncompute_clock output,
+    # and the probability it reports is in the pass info it returns.
+    outputs, infos = [], []
 
-    def postselect(state):
-        selected, prob = postselect_flag(state)
-        seen.append((state, prob))
-        return selected, prob
+    def uncompute(*args):
+        out = uncompute_clock(*args)
+        outputs.append(out)
+        return out
 
-    monkeypatch.setattr(qfit.sim, "postselect_flag", postselect)
+    def apply(*args, **kwargs):
+        out, info = apply_hermitian_via_pe(*args, **kwargs)
+        infos.append(info)
+        return out, info
+
+    monkeypatch.setattr(qfit.sim, "uncompute_clock", uncompute)
+    monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", apply)
     estimate_fit_quality(problem, run_settings, SwapTestPlan(shots=1))
-    state, prob = seen[-1]
+    assert len(outputs) == len(infos) == 2
+    state, prob = outputs[-1], infos[-1].flag_probability
     assert state.amplitudes.shape == (LONG_CLOCK, LONG_DIM, 2)
     assert abs(prob - _fsum_prob(state)) <= FSUM_TOL * prob
 
@@ -571,3 +609,29 @@ def test_reflection_allocates_one_state():
         tracemalloc.stop()
     assert _clock_contiguous(out)
     assert peak < 1.25 * state.amplitudes.nbytes
+
+
+def test_pass_keeps_no_dead_full_size_array():
+    # A T = 65536, D = 8 pass peaks at about 3.5 states, in the inverse
+    # evolution: the kept branch, the inverse QFT's output, the evolution's
+    # output and half a state of phase table.  An array the pass has
+    # finished with but still references adds a whole state to that.
+    rng = np.random.default_rng(13)
+    op = embed(random_complex_matrix(rng, 6, 2, kappa_max=4.0))
+    eig = eig_hermitian(op)
+    cfg = PhaseEstimationConfig(
+        clock_size=LONG_CLOCK,
+        t0=0.5 * np.pi * LONG_CLOCK / float(np.max(np.abs(eig.eigenvalues))),
+        rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
+        mode=MODE_MULTIPLY, window=WINDOW_SINE)
+    layout = RegisterLayout(clock_size=LONG_CLOCK, system_dim=LONG_DIM)
+    state = state_from_system_vector(random_complex_vector(rng, LONG_DIM), layout)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_hermitian_via_pe(state, op, cfg, eig=eig)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * state.amplitudes.nbytes
