@@ -14,9 +14,11 @@ in the system basis, also where eigenspaces are degenerate and their
 basis is arbitrary.  On states with one flag slice exactly zero the
 reflection, the evolution and the QFT must return that slice exactly
 zero and each live slice bit for bit as when the other slice holds
-amplitudes, and the rotation must equal its formula bit for bit.  Most
-are hypothesis property tests; the module is skipped where hypothesis is
-not installed.
+amplitudes, and the rotation must equal its formula bit for bit.  The
+window reflection of a clock-|0> state must equal the window state a
+pass writes directly, and a long-clock pass must hold no full-size array
+it has finished with.  Most are hypothesis property tests; the module is
+skipped where hypothesis is not installed.
 """
 
 import math
