@@ -367,6 +367,8 @@ def learn_sparse_fit(
     """Find the m' most relevant fit functions, refit, and reconstruct."""
     if not 1 <= m_prime <= problem.m:
         raise DimensionError(f"m' must lie in 1..{problem.m}, got {m_prime}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     if budget is None:
         budget = tomography.plan_budget(m_prime, tomography_epsilon)
 

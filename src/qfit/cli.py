@@ -7,13 +7,15 @@ for byte.  The master seed comes from --seed, falling back to the
 QFIT_SEED environment variable, then to 0.
 
 Failures exit nonzero after printing a machine-readable error object
-{"error": ..., "message": ...} to stderr.
+{"error": ..., "message": ...} to stderr.  One boundary, on the command
+group, does that for every QfitError and OSError a command raises.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -27,9 +29,10 @@ from .algorithms import (
     learn_sparse_fit,
 )
 from .cost import ALGORITHM_ALIASES, CostQuery, cost_model, cost_report_to_json
-from .exceptions import QfitError
+from .exceptions import GenerationError, QfitError
 from .problems import (
     ProblemSpec,
+    artifact_text,
     classical_fit,
     denormalized_solution,
     generate_problem,
@@ -44,7 +47,7 @@ from .linalg import vector_to_json
 MASTER_SEED_ENV = "QFIT_SEED"
 
 
-def _fail(exc: Exception) -> None:
+def _fail(exc: Exception) -> NoReturn:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(2)
@@ -59,7 +62,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _write_json(obj: dict, out: str | None) -> None:
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _write_text(artifact_text(obj), out)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -80,7 +83,32 @@ def _parse_auto(value: str, name: str) -> float | None:
         raise click.BadParameter(f"{name} must be a number or 'auto'") from exc
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Command group that reports qfit and file errors as one error object.
+
+    Only QfitError and OSError are caught; anything else is a bug and
+    keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (QfitError, OSError) as exc:
+            _fail(exc)
+
+
+def _parse_support(planted: str | None) -> tuple[int, ...] | None:
+    if not planted:
+        return None
+    try:
+        return tuple(int(tok) for tok in planted.split(","))
+    except ValueError as exc:
+        raise GenerationError(
+            f"--planted must be comma-separated integers, got {planted!r}"
+        ) from exc
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Least-squares fitting on a dense state-vector simulator."""
 
@@ -102,26 +130,21 @@ def main():
 @click.option("--out", required=True, help="Output problem file ('-' for stdout).")
 def generate(kind, n, m, seed, planted, mass, noise, condition_target, out):
     """Generate a reproducible synthetic fit problem."""
-    try:
-        support = None
-        if planted:
-            support = tuple(int(tok) for tok in planted.split(","))
-        spec = ProblemSpec(
-            n=n,
-            m=m,
-            kind=kind,
-            planted_support=support,
-            planted_mass=mass if support else None,
-            condition_target=condition_target,
-            noise=noise,
-        )
-        problem = generate_problem(spec, _resolve_seed(seed))
-        if out == "-":
-            _write_json(problem_to_json(problem), None)
-        else:
-            save_problem(problem, out)
-    except (QfitError, OSError, ValueError) as exc:
-        _fail(exc)
+    support = _parse_support(planted)
+    spec = ProblemSpec(
+        n=n,
+        m=m,
+        kind=kind,
+        planted_support=support,
+        planted_mass=mass if support else None,
+        condition_target=condition_target,
+        noise=noise,
+    )
+    problem = generate_problem(spec, _resolve_seed(seed))
+    if out == "-":
+        _write_json(problem_to_json(problem), None)
+    else:
+        save_problem(problem, out)
 
 
 @main.command()
@@ -129,26 +152,23 @@ def generate(kind, n, m, seed, planted, mass, noise, condition_target, out):
 @click.option("--out", default=None, help="Output file (default stdout).")
 def oracle(problem_path, out):
     """Classical Moore-Penrose reference solution."""
-    try:
-        problem = load_problem(problem_path)
-        sol = classical_fit(problem)
-        orig = denormalized_solution(problem, sol)
-        _write_json(
-            {
-                "schemaVersion": 1,
-                "kind": "fit-solution",
-                "lambda": vector_to_json(sol.lambda_),
-                "residualEnergy": sol.residual_energy,
-                "fittedVector": vector_to_json(sol.fitted),
-                "original": {
-                    "lambda": vector_to_json(orig.lambda_),
-                    "residualEnergy": orig.residual_energy,
-                },
+    problem = load_problem(problem_path)
+    sol = classical_fit(problem)
+    orig = denormalized_solution(problem, sol)
+    _write_json(
+        {
+            "schemaVersion": 1,
+            "kind": "fit-solution",
+            "lambda": vector_to_json(sol.lambda_),
+            "residualEnergy": sol.residual_energy,
+            "fittedVector": vector_to_json(sol.fitted),
+            "original": {
+                "lambda": vector_to_json(orig.lambda_),
+                "residualEnergy": orig.residual_energy,
             },
-            out,
-        )
-    except (QfitError, OSError) as exc:
-        _fail(exc)
+        },
+        out,
+    )
 
 
 def _run_settings(t, t0, c, variant, window, epsilon) -> RunSettings:
@@ -213,24 +233,21 @@ def _config_echo(problem_path, t, t0, c, variant, window, shots, delta, epsilon,
 @_with_options(_COMMON_RUN_OPTIONS)
 def run(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, out):
     """Prepare the fit state and estimate fit quality by swap test."""
-    try:
-        problem = load_problem(problem_path)
-        master = _resolve_seed(seed)
-        settings = _run_settings(t, t0, c, variant, window, epsilon)
-        plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
-        report = estimate_fit_quality(problem, settings, plan)
-        obj = fit_report_to_json(
-            report,
-            extra={
-                "config": _config_echo(
-                    problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
-                ),
-                "masterSeed": master,
-            },
-        )
-        _write_json(obj, out)
-    except (QfitError, OSError) as exc:
-        _fail(exc)
+    problem = load_problem(problem_path)
+    master = _resolve_seed(seed)
+    settings = _run_settings(t, t0, c, variant, window, epsilon)
+    plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
+    report = estimate_fit_quality(problem, settings, plan)
+    obj = fit_report_to_json(
+        report,
+        extra={
+            "config": _config_echo(
+                problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
+            ),
+            "masterSeed": master,
+        },
+    )
+    _write_json(obj, out)
 
 
 @main.command()
@@ -244,28 +261,25 @@ def run(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, ou
 def learn(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, out,
           m_prime, alpha, tom_epsilon):
     """Learn a sparse parameter vector by support sampling and tomography."""
-    try:
-        problem = load_problem(problem_path)
-        master = _resolve_seed(seed)
-        settings = _run_settings(t, t0, c, variant, window, epsilon)
-        plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
-        report = learn_sparse_fit(
-            problem,
-            m_prime,
-            settings,
-            plan,
-            master,
-            alpha=alpha,
-            tomography_epsilon=tom_epsilon,
-        )
-        config = _config_echo(
-            problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
-        )
-        config.update({"mPrime": m_prime, "alpha": alpha, "tomEpsilon": tom_epsilon})
-        obj = learn_report_to_json(report, extra={"config": config, "masterSeed": master})
-        _write_json(obj, out)
-    except (QfitError, OSError) as exc:
-        _fail(exc)
+    problem = load_problem(problem_path)
+    master = _resolve_seed(seed)
+    settings = _run_settings(t, t0, c, variant, window, epsilon)
+    plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
+    report = learn_sparse_fit(
+        problem,
+        m_prime,
+        settings,
+        plan,
+        master,
+        alpha=alpha,
+        tomography_epsilon=tom_epsilon,
+    )
+    config = _config_echo(
+        problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
+    )
+    config.update({"mPrime": m_prime, "alpha": alpha, "tomEpsilon": tom_epsilon})
+    obj = learn_report_to_json(report, extra={"config": config, "masterSeed": master})
+    _write_json(obj, out)
 
 
 def _cost_csv(report_obj: dict) -> str:
@@ -297,24 +311,21 @@ def _cost_csv(report_obj: dict) -> str:
 @click.option("--out", default=None, help="Output file (default stdout).")
 def cost(n, s, kappa, eps, delta, m_prime, alg, amplified, as_csv, out):
     """Evaluate the analytic query-cost model."""
-    try:
-        query = CostQuery(
-            n=n,
-            s=s,
-            kappa=kappa,
-            epsilon=eps,
-            delta=delta,
-            m_prime=m_prime,
-            algorithm=alg,
-            amplitude_amplification=amplified,
-        )
-        obj = cost_report_to_json(cost_model(query))
-        if as_csv:
-            _write_text(_cost_csv(obj), out)
-        else:
-            _write_json(obj, out)
-    except (QfitError, OSError) as exc:
-        _fail(exc)
+    query = CostQuery(
+        n=n,
+        s=s,
+        kappa=kappa,
+        epsilon=eps,
+        delta=delta,
+        m_prime=m_prime,
+        algorithm=alg,
+        amplitude_amplification=amplified,
+    )
+    obj = cost_report_to_json(cost_model(query))
+    if as_csv:
+        _write_text(_cost_csv(obj), out)
+    else:
+        _write_json(obj, out)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class CostQuery:
             raise ConfigError("N must be at least 2")
         if self.s < 1:
             raise ConfigError("sparseness s must be at least 1")
-        if self.kappa < 1:
-            raise ConfigError("kappa must be at least 1")
+        if not (math.isfinite(self.kappa) and self.kappa >= 1):
+            raise ConfigError("kappa must be finite and at least 1")
         if not 0 < self.epsilon <= 1:
             raise ConfigError("epsilon must lie in (0, 1]")
         if not 0 < self.delta <= 1:
@@ -110,14 +111,30 @@ def query_count(query: CostQuery) -> float:
 
 def cost_model(query: CostQuery) -> CostReport:
     k = query.kappa
+    try:
+        counts = (
+            query_count(query),
+            k if query.amplitude_amplification else k**2,
+            k**2,
+            k**6,
+            k**5,
+        )
+    except (OverflowError, ZeroDivisionError):
+        counts = (math.inf,)
+    if not all(math.isfinite(c) for c in counts):
+        raise ConfigError(
+            f"cost model counts overflow at kappa={k:g}, epsilon={query.epsilon:g}, "
+            f"delta={query.delta:g}"
+        )
+    queries, per_multiply, per_invert, chain_plain, chain_amplified = counts
     return CostReport(
         query=query,
         algorithm=ALGORITHM_ALIASES[query.algorithm],
-        queries=query_count(query),
-        repetitions_per_multiply=k if query.amplitude_amplification else k**2,
-        repetitions_per_invert=k**2,
-        chain_repetitions_plain=k**6,
-        chain_repetitions_amplified=k**5,
+        queries=queries,
+        repetitions_per_multiply=per_multiply,
+        repetitions_per_invert=per_invert,
+        chain_repetitions_plain=chain_plain,
+        chain_repetitions_amplified=chain_amplified,
     )
 
 

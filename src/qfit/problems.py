@@ -250,7 +250,7 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
         basis = FitBasis(kind=BASIS_FOURIER, m=spec.m)
         f_raw = build_design_matrix(xs, basis)
     elif spec.kind == "random":
-        kappa = spec.condition_target if spec.condition_target else 10.0
+        kappa = spec.condition_target if spec.condition_target is not None else 10.0
         if kappa < 1:
             raise GenerationError("condition target must be >= 1")
         sigma = np.logspace(0.0, -np.log10(kappa), spec.m)
@@ -349,10 +349,14 @@ def problem_from_json(obj: dict) -> FitProblem:
     return problem
 
 
+def artifact_text(obj: dict) -> str:
+    """The one text form of every JSON artifact qfit writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_problem(problem: FitProblem, path) -> None:
     with open(path, "w") as fh:
-        json.dump(problem_to_json(problem), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(artifact_text(problem_to_json(problem)))
 
 
 def load_problem(path) -> FitProblem:

@@ -129,17 +129,13 @@ def reconstruct_pure_state(
             return pending.pop()
         return as_complex_vector(state_preparer())
 
-    configs: list[tuple[str, int | None, float | None]] = [("probability", None, None)]
-    # Reference selection needs the probability pass; interference settings
-    # are planned against a placeholder and bound after it runs.
-    for j in range(dim - 1):
-        configs.append(("interference", j, 0.0))
-        configs.append(("interference", j, np.pi / 2))
-
-    # Spread the planned settings round-robin over the configurations.
-    reps = np.zeros(len(configs), dtype=int)
-    for i in range(max(budget.settings, len(configs))):
-        reps[i % len(configs)] += 1
+    # One probability configuration, then two phases (0, pi/2) for each of
+    # the dim - 1 components other than the reference, which is chosen only
+    # after the probability setting runs.  The planned settings are spread
+    # round-robin over the configurations.
+    n_configs = 2 * dim - 1
+    settings = max(budget.settings, n_configs)
+    reps = settings // n_configs + (np.arange(n_configs) < settings % n_configs)
 
     # Probability setting: pooled computational-basis counts.
     prob_counts = np.zeros(dim, dtype=int)

@@ -23,9 +23,25 @@ def worked_problem_file(tmp_path, worked_instance):
     return str(path)
 
 
+@pytest.fixture
+def planted_problem_file(runner, tmp_path):
+    path = tmp_path / "planted.json"
+    invoke(runner, ["generate", "--kind", "random", "--n", "16", "--m", "8",
+                    "--planted", "2,5", "--seed", "11", "--out", str(path)])
+    return str(path)
+
+
 def invoke(runner, args, env=None):
     result = runner.invoke(main, args, env=env, catch_exceptions=False)
     return result
+
+
+def error_payload(result) -> dict:
+    """The one error object a failed command printed, after checking exit 2."""
+    assert result.exit_code == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 class TestGenerate:
@@ -179,11 +195,9 @@ class TestNonFiniteSettings:
         ("learn", "--t0", "-inf", "t0"),
     ])
     def test_fails_with_config_error_json_and_no_warning(self, runner, tmp_path,
+                                                         planted_problem_file,
                                                          command, flag, value, named):
-        problem_path = tmp_path / "planted.json"
-        invoke(runner, ["generate", "--kind", "random", "--n", "16", "--m", "8",
-                        "--planted", "2,5", "--seed", "11", "--out", str(problem_path)])
-        args = [command, "--problem", str(problem_path), "-T", "64", flag, value,
+        args = [command, "--problem", planted_problem_file, "-T", "64", flag, value,
                 "--out", str(tmp_path / "x.json")]
         if command == "learn":
             args += ["--m-prime", "2"]
@@ -221,11 +235,51 @@ class TestCost:
                                       "--eps", "0.5"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
-    def test_unwritable_output_fails_with_error_json(self, runner, tmp_path, fmt):
-        result = runner.invoke(main, ["cost", "--n", "4", "--s", "1", "--kappa", "2",
-                                      "--eps", "0.1", *fmt,
-                                      "--out", str(tmp_path / "no" / "x.json")])
-        assert result.exit_code == 2
-        payload = json.loads(result.stderr.strip().splitlines()[-1])
-        assert payload["error"] == "FileNotFoundError"
+
+class TestErrorBoundary:
+    """Every command reports qfit and file errors as one error object, exit 2."""
+
+    @staticmethod
+    def _args(command, problem_file, out):
+        problem = ["--problem", problem_file]
+        return {
+            "generate": ["generate", "--kind", "poly", "--n", "4", "--m", "2"],
+            "oracle": ["oracle", *problem],
+            "run": ["run", *problem, "-T", "64", "--shots", "100"],
+            "learn": ["learn", *problem, "-T", "64", "--shots", "100", "--m-prime", "2"],
+            "cost": ["cost", "--n", "4", "--s", "1", "--kappa", "2", "--eps", "0.1"],
+        }[command] + ["--out", out]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", []), ("oracle", []), ("run", []), ("learn", []),
+        ("cost", []), ("cost", ["--csv"]),
+    ], ids=["generate", "oracle", "run", "learn", "cost", "cost-csv"])
+    def test_unwritable_output_fails_with_error_json(self, runner, tmp_path,
+                                                     planted_problem_file, command, flags):
+        out = str(tmp_path / "no" / "x.json")
+        result = runner.invoke(main, self._args(command, planted_problem_file, out) + flags)
+        assert error_payload(result)["error"] == "FileNotFoundError"
+
+    def test_bad_planted_support_fails_with_generation_error_json(self, runner):
+        result = runner.invoke(main, ["generate", "--kind", "poly", "--n", "4", "--m", "2",
+                                      "--planted", "a", "--out", "-"])
+        payload = error_payload(result)
+        assert payload["error"] == "GenerationError"
+        assert "--planted" in payload["message"]
+
+    @pytest.mark.parametrize("command, flags", [
+        pytest.param("learn", ["--alpha", "nan"], id="learn-alpha-nan"),
+        pytest.param("learn", ["--alpha", "inf"], id="learn-alpha-inf"),
+        pytest.param("cost", ["--kappa", "1e300"], id="cost-kappa-overflow"),
+        pytest.param("cost", ["--alg", "alg2", "--delta", "1e-200"], id="cost-delta-underflow"),
+        pytest.param("run", ["--delta", "1e-200"], id="run-delta-underflow"),
+        pytest.param("cost", ["--kappa", "nan"], id="cost-kappa-nan"),
+        pytest.param("cost", ["--kappa", "inf"], id="cost-kappa-inf"),
+    ])
+    def test_out_of_range_setting_fails_with_config_error_json(self, runner, tmp_path,
+                                                               planted_problem_file,
+                                                               command, flags):
+        out = str(tmp_path / "x.json")
+        args = self._args(command, planted_problem_file, out) + flags
+        result = runner.invoke(main, args)
+        assert error_payload(result)["error"] == "ConfigError"

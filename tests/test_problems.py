@@ -183,6 +183,11 @@ class TestGenerateProblem:
         )
         assert condition_estimate(prob.design_matrix).kappa == pytest.approx(4.0, rel=1e-6)
 
+    def test_zero_condition_target_random_is_rejected(self):
+        spec = ProblemSpec(n=10, m=5, kind="random", condition_target=0.0)
+        with pytest.raises(GenerationError):
+            generate_problem(spec, seed=1)
+
     def test_fourier_kind(self):
         prob = generate_problem(ProblemSpec(n=8, m=3, kind="fourier"), seed=4)
         assert prob.basis.kind == BASIS_FOURIER
