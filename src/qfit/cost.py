@@ -119,9 +119,10 @@ def cost_model(query: CostQuery) -> CostReport:
             k**6,
             k**5,
         )
+        finite = all(math.isfinite(c) for c in counts)
     except (OverflowError, ZeroDivisionError):
-        counts = (math.inf,)
-    if not all(math.isfinite(c) for c in counts):
+        finite = False
+    if not finite:
         raise ConfigError(
             f"cost model counts overflow at kappa={k:g}, epsilon={query.epsilon:g}, "
             f"delta={query.delta:g}"
