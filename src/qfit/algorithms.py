@@ -248,15 +248,17 @@ def estimate_fit_quality(
     If y is orthogonal to the column space of F the fitted state is
     physically unreachable (the postselection succeeds with probability
     exactly zero); the report then samples the swap test at its known
-    p1 = 1/2 and flags the degeneracy.
+    p1 = 1/2 and flags the degeneracy.  The cost model is priced first, so
+    settings it cannot price fail before any pass.
     """
+    cost = _cost(problem, settings.epsilon, plan.delta, ALG_QUALITY, 1)
     op = embed(problem.design_matrix)
     eig = eig_hermitian(op)
     spec = prep = None
     if not _is_degenerate(problem):
         spec = make_pipeline_spec(eig, settings)
         prep = prepare_fit_parameters(problem, spec, op=op, eig=eig)
-    return _report_fit_quality(problem, settings, plan, op, eig, spec, prep)
+    return _report_fit_quality(problem, settings, plan, op, eig, spec, prep, cost)
 
 
 def _report_fit_quality(
@@ -267,10 +269,12 @@ def _report_fit_quality(
     eig: EigDecomposition,
     spec: PipelineSpec | None,
     prep: PreparationResult | None,
+    cost: CostReport,
 ) -> FitReport:
     """Project a prepared parameter state, swap-test it against y, report.
 
-    ``prep`` (with its ``spec``) is None for a degenerate problem.
+    ``prep`` (with its ``spec``) is None for a degenerate problem; ``cost``
+    is the quality-estimation cost of ``problem``.
     """
     y_vec = data_state_vector(problem)
     if prep is None:
@@ -318,7 +322,7 @@ def _report_fit_quality(
         degenerate_fit=prep is None,
         total_shots=plan.shots,
         swap_seed=plan.seed,
-        cost=_cost(problem, settings.epsilon, plan.delta, ALG_QUALITY, 1),
+        cost=cost,
         settings=settings,
         delta=plan.delta,
     )
@@ -364,13 +368,18 @@ def learn_sparse_fit(
     alpha: float = DEFAULT_SUPPORT_ALPHA,
     tomography_epsilon: float = 0.05,
 ) -> LearnReport:
-    """Find the m' most relevant fit functions, refit, and reconstruct."""
+    """Find the m' most relevant fit functions, refit, and reconstruct.
+
+    The learn cost of the full problem is priced before the first pass,
+    so settings the cost model cannot price fail before any work.
+    """
     if not 1 <= m_prime <= problem.m:
         raise DimensionError(f"m' must lie in 1..{problem.m}, got {m_prime}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     if budget is None:
         budget = tomography.plan_budget(m_prime, tomography_epsilon)
+    cost = _cost(problem, settings.epsilon, plan.delta, ALG_LEARN, m_prime)
 
     op = embed(problem.design_matrix)
     eig = eig_hermitian(op)
@@ -407,8 +416,9 @@ def learn_sparse_fit(
     # A reduced problem with |F'^dag y| < 1e-12 still prepares, but gets the
     # degenerate fit report, as estimate_fit_quality would give it.
     reported_prep = None if _is_degenerate(reduced) else red_prep
+    red_cost = _cost(reduced, settings.epsilon, plan.delta, ALG_QUALITY, 1)
     fit_report = _report_fit_quality(
-        reduced, settings, plan, red_op, red_eig, red_spec, reported_prep
+        reduced, settings, plan, red_op, red_eig, red_spec, reported_prep, red_cost
     )
     full_residual = prep.solution.residual_energy
     reduced_residual = red_prep.solution.residual_energy
@@ -425,7 +435,7 @@ def learn_sparse_fit(
         exact_reduced_residual=reduced_residual,
         truncation_degraded=bool(reduced_residual > full_residual + 1e-9),
         seed=seed,
-        cost=_cost(problem, settings.epsilon, plan.delta, ALG_LEARN, m_prime),
+        cost=cost,
     )
 
 

@@ -17,6 +17,7 @@ simulator-side result in this package is checked against it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,6 +234,10 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
     """Build a reproducible fit problem from a spec and a seed."""
     if spec.m < 1 or spec.n < spec.m:
         raise GenerationError(f"need n >= m >= 1, got n={spec.n}, m={spec.m}")
+    if not (math.isfinite(spec.noise) and spec.noise >= 0):
+        raise GenerationError(f"noise must be finite and >= 0, got {spec.noise}")
+    if spec.condition_target is not None and not math.isfinite(spec.condition_target):
+        raise GenerationError(f"condition target must be finite, got {spec.condition_target}")
     rng = np.random.default_rng(seed)
 
     if spec.kind == "identity":

@@ -73,6 +73,17 @@ slice, and its backward half runs on flag 1 alone.  It then reads the
 flag probability from the flag-1 slice and the clock-zero probability
 from that slice's clock-0 row, where they lie.
 
+Pass constants
+--------------
+Every pass of one run shares H's spectrum, T, t0 and the window, so the
+constants built from them are built once per run: the long-double-reduced
+phase factors of ``_phase_table`` and the clock window.  One memo entry
+holds them, keyed on the spectrum's exact bytes, T, t0 and the window
+name, and returns them read-only.  It keeps only the factors, never a
+D x T table, so no full-clock array outlives the call that forms it; and
+a single entry keyed on the spectrum is hit only by passes over the same
+operator.
+
 Every operation is pure: states are treated as immutable and new arrays
 are returned.  Only postselection is non-unitary;
 it reports the exact branch probability instead of sampling.  Physical
@@ -82,6 +93,7 @@ computational-basis measurement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -346,22 +358,57 @@ def conditional_evolution(
 def _phase_table(eigenvalues, config: PhaseEstimationConfig, inverse: bool) -> np.ndarray:
     """exp(-i*E_j*tau*t0/T) as a (D, T) table, exp(+i*...) if ``inverse``.
 
-    Splits tau = b*h + l with b = 2**floor(log2(T)/2), so it takes
-    D*(T/b + b) complex exponentials instead of D*T.  The arguments reach
-    pi*T rad, where one float64 rounding is already 1.5e-11 rad at
-    T = 65536.  So they are formed and reduced modulo 2*pi in long double
-    (wider than float64 on x86-64 Linux) before the float64 ``exp``.  The
+    Splits tau = b*h + l with b = 2**floor(log2(T)/2), so the table is the
+    outer product of D*(T/b + b) complex exponentials instead of D*T.
+    Those factors come from ``_pass_constants``, built once per spectrum,
+    T and t0; only the D x T product is formed on every call.  The
     forward table is built from conjugated factors, so it is exactly the
     conjugate of the inverse one.
     """
-    t = config.clock_size
-    b = 1 << ((t.bit_length() - 1) // 2)
-    step = np.asarray(eigenvalues, dtype=np.longdouble)[:, None] * (config.t0 / t)
-    high = _unit_phases(step * (b * np.arange(t // b)))
-    low = _unit_phases(step * np.arange(b))
+    high, low, _ = _pass_constants(eigenvalues, config)
     if not inverse:
         high, low = high.conj(), low.conj()
-    return (high[:, :, None] * low[:, None, :]).reshape(len(step), t)
+    return (high[:, :, None] * low[:, None, :]).reshape(len(high), config.clock_size)
+
+
+def _pass_constants(
+    eigenvalues, config: PhaseEstimationConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phase factors ``high``, ``low`` and the clock window of a pass.
+
+    Read-only arrays, shared by every pass over the same spectrum, T, t0
+    and window (see "Pass constants").
+    """
+    spectrum = np.asarray(eigenvalues)
+    return _build_pass_constants(
+        spectrum.dtype.str, spectrum.tobytes(), config.clock_size, config.t0, config.window
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _build_pass_constants(
+    dtype: str, spectrum: bytes, clock_size: int, t0: float, window: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build what ``_pass_constants`` returns; one memo entry.
+
+    ``high[j, h]`` is exp(+i*E_j*b*h*t0/T) and ``low[j, l]`` is
+    exp(+i*E_j*l*t0/T).  The arguments reach pi*T rad, where one float64
+    rounding is already 1.5e-11 rad at T = 65536.  So they are formed and
+    reduced modulo 2*pi in long double (wider than float64 on x86-64
+    Linux) before the float64 ``exp``.
+    """
+    t = clock_size
+    b = 1 << ((t.bit_length() - 1) // 2)
+    energies = np.frombuffer(spectrum, dtype=dtype).astype(np.longdouble)
+    step = energies[:, None] * (t0 / t)
+    constants = (
+        _unit_phases(step * (b * np.arange(t // b))),
+        _unit_phases(step * np.arange(b)),
+        clock_window(t, window),
+    )
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 def _unit_phases(theta: np.ndarray) -> np.ndarray:
@@ -454,7 +501,7 @@ def uncompute_clock(
     """
     s = qft_clock(state, "inverse")
     s = conditional_evolution(s, eig, config, inverse=True)
-    return reflect_clock_window(s, clock_window(config.clock_size, config.window))
+    return reflect_clock_window(s, _pass_constants(eig.eigenvalues, config)[2])
 
 
 def postselect_flag(state: QuantumState) -> tuple[QuantumState, float]:
@@ -571,7 +618,7 @@ def apply_hermitian_via_pe(
 
     # Each stage rebinds ``s``: a full-size array still referenced after
     # the stage that consumes it would add a whole state to the peak.
-    window = clock_window(config.clock_size, config.window)
+    window = _pass_constants(eig.eigenvalues, config)[2]
     s = _windowed_state(vecs.conj().T @ psi_in, window, state.layout)
     s = conditional_evolution(s, eig, config)
     s = qft_clock(s, "forward")

@@ -283,3 +283,38 @@ class TestErrorBoundary:
         args = self._args(command, planted_problem_file, out) + flags
         result = runner.invoke(main, args)
         assert error_payload(result)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["run", "learn"])
+    def test_unpriceable_settings_fail_before_any_pass(self, runner, tmp_path, monkeypatch,
+                                                       planted_problem_file, command):
+        import qfit.algorithms
+
+        calls = []
+        apply_pass = qfit.algorithms.apply_hermitian_via_pe
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_pass(*args, **kwargs)
+
+        monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", counted)
+        args = self._args(command, planted_problem_file, str(tmp_path / "x.json"))
+        result = runner.invoke(main, args + ["--delta", "1e-200"])
+        assert error_payload(result)["error"] == "ConfigError"
+        assert calls == []
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--kind", "random", "--planted", "0", "--noise", "nan"], id="noise-nan"),
+        pytest.param(["--kind", "random", "--planted", "0", "--noise", "-1"], id="noise-negative"),
+        pytest.param(["--kind", "poly", "--condition-target", "nan"], id="poly-condition-nan"),
+        pytest.param(["--kind", "random", "--condition-target", "nan"],
+                     id="random-condition-nan"),
+        pytest.param(["--kind", "random", "--condition-target", "inf"],
+                     id="random-condition-inf"),
+    ])
+    def test_bad_generate_number_fails_with_generation_error_json(self, runner, tmp_path,
+                                                                  flags):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["generate", "--n", "4", "--m", "2", *flags,
+                                      "--out", str(out)])
+        assert error_payload(result)["error"] == "GenerationError"
+        assert not out.exists()

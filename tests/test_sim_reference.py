@@ -17,8 +17,11 @@ zero and each live slice bit for bit as when the other slice holds
 amplitudes, and the rotation must equal its formula bit for bit.  The
 window reflection of a clock-|0> state must equal the window state a
 pass writes directly, and a long-clock pass must hold no full-size array
-it has finished with.  Most are hypothesis property tests; the module is
-skipped where hypothesis is not installed.
+it has finished with.  The memoized pass constants must give every phase
+table and window bit for bit as a build without the memo, in any order
+of queries, stay read-only, and be built once per distinct operator of
+a run.  Most are hypothesis property tests; the module is skipped where
+hypothesis is not installed.
 """
 
 import math
@@ -34,7 +37,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 import qfit.algorithms  # noqa: E402
 import qfit.sim  # noqa: E402
-from qfit.algorithms import VARIANT_FUSED, RunSettings, estimate_fit_quality  # noqa: E402
+from qfit.algorithms import (  # noqa: E402
+    VARIANT_FUSED,
+    RunSettings,
+    estimate_fit_quality,
+    learn_sparse_fit,
+)
 from qfit.exceptions import DimensionError  # noqa: E402
 from qfit.linalg import (  # noqa: E402
     EigDecomposition,
@@ -52,6 +60,7 @@ from qfit.sim import (  # noqa: E402
     QuantumState,
     RegisterLayout,
     SwapTestPlan,
+    _pass_constants,
     _phase_table,
     _windowed_state,
     apply_hermitian_via_pe,
@@ -524,6 +533,76 @@ def test_inverse_table_is_the_exact_conjugate(t, d, seed, t0):
     assert forward.shape == (d, t)
     np.testing.assert_array_equal(_phase_table(eigenvalues, cfg, inverse=True),
                                   forward.conj())
+
+
+def _unmemoized_table(eigenvalues, cfg, inverse):
+    """The phase table as ``_phase_table`` builds it, without the memo."""
+    t = cfg.clock_size
+    b = 1 << ((t.bit_length() - 1) // 2)
+    step = np.asarray(eigenvalues, dtype=np.longdouble)[:, None] * (cfg.t0 / t)
+    two_pi = 2 * np.arccos(np.longdouble(-1))
+
+    def phases(theta):
+        theta = theta - two_pi * np.round(theta / two_pi)
+        return np.exp(1j * theta.astype(float))
+
+    high, low = phases(step * (b * np.arange(t // b))), phases(step * np.arange(b))
+    if not inverse:
+        high, low = high.conj(), low.conj()
+    return (high[:, :, None] * low[:, None, :]).reshape(len(step), t)
+
+
+QUERY = st.tuples(
+    st.integers(0, 2),  # spectrum
+    st.sampled_from([2**k for k in range(1, 13)]),
+    st.integers(0, 1),  # t0
+    st.booleans(),  # inverse
+    st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), queries=st.lists(QUERY, min_size=1, max_size=12))
+def test_memoized_tables_and_windows_match_unmemoized_builds(seed, queries):
+    rng = np.random.default_rng(seed)
+    spectra = [rng.uniform(-3.0, 3.0, size=d) for d in rng.integers(1, 17, size=3)]
+    t0s = rng.uniform(0.0, 50.0, size=2)
+    for spectrum, t, t0, inverse, window in queries:
+        cfg = PhaseEstimationConfig(clock_size=t, t0=float(t0s[t0]), rotation_scale=1.0,
+                                    mode=MODE_MULTIPLY, window=window)
+        eigenvalues = spectra[spectrum]
+        np.testing.assert_array_equal(_phase_table(eigenvalues, cfg, inverse),
+                                      _unmemoized_table(eigenvalues, cfg, inverse))
+        np.testing.assert_array_equal(_pass_constants(eigenvalues, cfg)[2],
+                                      clock_window(t, window))
+
+
+def test_memoized_constants_are_read_only():
+    cfg = PhaseEstimationConfig(clock_size=64, t0=1.0, rotation_scale=1.0,
+                                mode=MODE_MULTIPLY, window=WINDOW_SINE)
+    for array in _pass_constants(np.array([-1.0, 0.5]), cfg):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def _builds(run):
+    """How often ``run()`` builds the pass constants, from an empty memo."""
+    build = qfit.sim._build_pass_constants
+    build.cache_clear()
+    run()
+    return build.cache_info().misses
+
+
+def test_constants_are_built_once_per_operator_of_a_run():
+    problem = generate_problem(
+        ProblemSpec(n=12, m=6, kind="random", planted_support=(1, 4), planted_mass=0.95),
+        seed=21,
+    )
+    run_settings = RunSettings(clock_size=256, window=WINDOW_SINE)
+    plan = SwapTestPlan(shots=100, seed=0)
+    assert _builds(lambda: estimate_fit_quality(problem, run_settings, plan)) == 1
+    assert _builds(lambda: learn_sparse_fit(problem, 2, run_settings, plan, seed=0)) == 2
 
 
 def test_inverse_evolution_undoes_forward_at_long_clock():
