@@ -4,13 +4,15 @@
 
 Extracts each commit with ``git archive`` into a temporary directory and
 runs ``python3 perfbench/run.py --workload W --seed SEED --seconds X
---trace 0`` there, one run at a time.  Pair ``i`` of each workload uses
-seed ``S + i``; the parent runs first in even pairs and the change first
-in odd ones.  For every end-to-end metric of ``BENCHMARK.json`` the
-output holds each side's median and quartiles over its runs, every run's
-value, the relative change of the medians, the pairs the change won and
-lost (ties count for neither) and ``within_bound``: whether the change's
-median is worse than the parent's by no more than the metric's bound.
+--trace 0`` there, one run at a time, for every workload ``W`` of
+``BENCHMARK.json`` with its ``run_seconds`` as ``X``.  Pair ``i`` of each
+workload uses seed ``S + i``; the parent runs first in even pairs and the
+change first in odd ones.  For every end-to-end metric of
+``BENCHMARK.json`` the output holds each side's median and quartiles over
+its runs, every run's value, the relative change of the medians, the
+pairs the change won and lost (ties count for neither) and
+``within_bound``: whether the change's median is worse than the parent's
+by no more than the metric's bound.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
-def measure(benchmark: dict, roots: dict, commits: dict, workloads: list[str],
-            seeds: list[int], seconds: float) -> dict:
+def measure(benchmark: dict, roots: dict, commits: dict, seeds: list[int]) -> dict:
     """Run every pair of every workload; the summary in ``BENCH_*.json`` layout."""
+    seconds = benchmark["run_seconds"]
     summary: dict = {
         "what": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                 "--trace 0: parent commit against change, each side run from a git "
@@ -99,7 +101,7 @@ def measure(benchmark: dict, roots: dict, commits: dict, workloads: list[str],
         "blas_threads": 1,
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs: dict = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
@@ -129,23 +131,17 @@ def main() -> int:
     parser.add_argument("change", help="commit measured as the change")
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     if args.pairs < 1 or args.seed < 0:
         parser.error("--pairs must be >= 1 and --seed >= 0")
 
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds or benchmark["run_seconds"]
     seeds = list(range(args.seed, args.seed + args.pairs))
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: extract(getattr(args, side), roots[side]) for side in roots}
-        summary = measure(benchmark, roots, commits, workloads, seeds, seconds)
+        summary = measure(benchmark, roots, commits, seeds)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 
