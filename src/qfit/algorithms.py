@@ -28,7 +28,7 @@ by tomography, and reports quality from that same reduced preparation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,8 +120,8 @@ def auto_t0(sigma_max: float, kappa: float, epsilon: float, clock_size: int) -> 
     The bin index is clamped to the anti-aliasing limit T/2 - 1, so very
     small epsilon degrades gracefully to the finest legal resolution.
     """
-    bins_raw = sigma_max * kappa / epsilon
-    bins = int(np.clip(round(bins_raw), 1, clock_size // 2 - 1))
+    bins_raw = min(sigma_max * kappa / epsilon, clock_size)
+    bins = min(max(round(bins_raw), 1), clock_size // 2 - 1)
     return 2.0 * np.pi * bins / sigma_max
 
 
@@ -234,10 +234,35 @@ def _cost(
     )
 
 
-def _is_degenerate(problem: FitProblem) -> bool:
-    """True when y is orthogonal to the column space of F (F^dag y = 0)."""
-    f_dag_y = problem.design_matrix.conj().T @ problem.y
-    return bool(np.linalg.norm(f_dag_y) < 1e-12)
+def _prepare(
+    problem: FitProblem,
+    settings: RunSettings,
+    delta: float,
+    algorithm: str,
+    m_prime: int,
+    support: tuple[int, ...] | None,
+):
+    """Price, embed and eigensolve ``problem``, then run its preparation passes.
+
+    Returns ``(prep, cost, op, eig, spec)``.  When y is orthogonal to the
+    column space of F (|F^dag y| < 1e-12) the fitted state is unreachable,
+    since its postselection succeeds with probability exactly zero: with
+    ``support`` None, ``spec`` and ``prep`` are then None; otherwise no pass
+    runs and a PostselectionError names the support.  The cost model is
+    priced first, so settings it cannot price fail before any pass.
+    """
+    cost = _cost(problem, settings.epsilon, delta, algorithm, m_prime)
+    op = embed(problem.design_matrix)
+    eig = eig_hermitian(op)
+    if np.linalg.norm(problem.design_matrix.conj().T @ problem.y) < 1e-12:
+        if support is not None:
+            raise PostselectionError(
+                f"y is orthogonal to the fit functions of support {support} "
+                "(F^dag y = 0); their fitted state is unreachable"
+            )
+        return None, cost, op, eig, None
+    spec = make_pipeline_spec(eig, settings)
+    return prepare_fit_parameters(problem, spec, op=op, eig=eig), cost, op, eig, spec
 
 
 def estimate_fit_quality(
@@ -245,31 +270,22 @@ def estimate_fit_quality(
 ) -> FitReport:
     """Prepare the fitted state, swap-test it against the data, report.
 
-    If y is orthogonal to the column space of F the fitted state is
-    physically unreachable (the postselection succeeds with probability
-    exactly zero); the report then samples the swap test at its known
-    p1 = 1/2 and flags the degeneracy.  The cost model is priced first, so
-    settings it cannot price fail before any pass.
+    If y is orthogonal to the column space of F the report samples the
+    swap test at its known p1 = 1/2 and flags the degeneracy.
     """
-    cost = _cost(problem, settings.epsilon, plan.delta, ALG_QUALITY, 1)
-    op = embed(problem.design_matrix)
-    eig = eig_hermitian(op)
-    spec = prep = None
-    if not _is_degenerate(problem):
-        spec = make_pipeline_spec(eig, settings)
-        prep = prepare_fit_parameters(problem, spec, op=op, eig=eig)
-    return _report_fit_quality(problem, settings, plan, op, eig, spec, prep, cost)
+    prepared = _prepare(problem, settings, plan.delta, ALG_QUALITY, 1, None)
+    return _report_fit_quality(problem, settings, plan, *prepared)
 
 
 def _report_fit_quality(
     problem: FitProblem,
     settings: RunSettings,
     plan: SwapTestPlan,
+    prep: PreparationResult | None,
+    cost: CostReport,
     op: EmbeddedOperator,
     eig: EigDecomposition,
     spec: PipelineSpec | None,
-    prep: PreparationResult | None,
-    cost: CostReport,
 ) -> FitReport:
     """Project a prepared parameter state, swap-test it against y, report.
 
@@ -283,12 +299,10 @@ def _report_fit_quality(
         passes: tuple[PhaseEstimationPass, ...] = ()
         lambda_fidelity = float("nan")
     else:
-        project_config = PhaseEstimationConfig(
-            clock_size=settings.clock_size,
-            t0=spec.stages[0].t0,
-            rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
+        project_config = replace(
+            spec.stages[0],
             mode=MODE_MULTIPLY,
-            window=settings.window,
+            rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
         )
         fitted_state, project_info = apply_hermitian_via_pe(
             prep.state, op, project_config, eig=eig
@@ -349,7 +363,12 @@ class LearnReport:
 
 
 def support_shot_count(m_prime: int, alpha: float = DEFAULT_SUPPORT_ALPHA) -> int:
-    return int(math.ceil(alpha * m_prime * math.log(m_prime + 1)))
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+    shots = alpha * m_prime * math.log(m_prime + 1)
+    if shots > np.iinfo(np.int64).max:
+        raise ConfigError(f"alpha = {alpha:g} asks for more support shots than int64 counts")
+    return int(math.ceil(shots))
 
 
 def select_support(counts: np.ndarray, m_prime: int) -> tuple[int, ...]:
@@ -370,23 +389,19 @@ def learn_sparse_fit(
 ) -> LearnReport:
     """Find the m' most relevant fit functions, refit, and reconstruct.
 
-    The learn cost of the full problem is priced before the first pass,
-    so settings the cost model cannot price fail before any work.
+    Each of the full and the reduced problem is priced before its passes,
+    so settings the cost model cannot price fail before any work, and is
+    refused before its passes when y is orthogonal to its fit functions.
     """
     if not 1 <= m_prime <= problem.m:
         raise DimensionError(f"m' must lie in 1..{problem.m}, got {m_prime}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+    shots = support_shot_count(m_prime, alpha)
     if budget is None:
         budget = tomography.plan_budget(m_prime, tomography_epsilon)
-    cost = _cost(problem, settings.epsilon, plan.delta, ALG_LEARN, m_prime)
+    prep, cost, *_ = _prepare(
+        problem, settings, plan.delta, ALG_LEARN, m_prime, tuple(range(problem.m))
+    )
 
-    op = embed(problem.design_matrix)
-    eig = eig_hermitian(op)
-    spec = make_pipeline_spec(eig, settings)
-    prep = prepare_fit_parameters(problem, spec, op=op, eig=eig)
-
-    shots = support_shot_count(m_prime, alpha)
     histogram = measure_computational(
         prep.state, shots, derive_seed(seed, STREAM_SUPPORT)
     )
@@ -394,10 +409,8 @@ def learn_sparse_fit(
     support = select_support(param_counts, m_prime)
 
     reduced = restrict_columns(problem, support)  # raises if F'^dag F' singular
-    red_op = embed(reduced.design_matrix)
-    red_eig = eig_hermitian(red_op)
-    red_spec = make_pipeline_spec(red_eig, settings)
-    red_prep = prepare_fit_parameters(reduced, red_spec, op=red_op, eig=red_eig)
+    prepared = _prepare(reduced, settings, plan.delta, ALG_QUALITY, 1, support)
+    red_prep = prepared[0]
 
     param_vec = red_prep.system_vector[:m_prime]
     param_norm = np.linalg.norm(param_vec)
@@ -413,13 +426,7 @@ def learn_sparse_fit(
         lambda: param_vec, budget, derive_seed(seed, STREAM_TOMOGRAPHY), oracle=oracle_dir
     )
 
-    # A reduced problem with |F'^dag y| < 1e-12 still prepares, but gets the
-    # degenerate fit report, as estimate_fit_quality would give it.
-    reported_prep = None if _is_degenerate(reduced) else red_prep
-    red_cost = _cost(reduced, settings.epsilon, plan.delta, ALG_QUALITY, 1)
-    fit_report = _report_fit_quality(
-        reduced, settings, plan, red_op, red_eig, red_spec, reported_prep, red_cost
-    )
+    fit_report = _report_fit_quality(reduced, settings, plan, *prepared)
     full_residual = prep.solution.residual_energy
     reduced_residual = red_prep.solution.residual_energy
     return LearnReport(

@@ -14,6 +14,7 @@ group, does that for every QfitError and OSError a command raises.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import NoReturn
 
@@ -29,7 +30,7 @@ from .algorithms import (
     learn_sparse_fit,
 )
 from .cost import ALGORITHM_ALIASES, CostQuery, cost_model, cost_report_to_json
-from .exceptions import GenerationError, QfitError
+from .exceptions import ConfigError, GenerationError, QfitError
 from .problems import (
     ProblemSpec,
     artifact_text,
@@ -66,12 +67,12 @@ def _write_json(obj: dict, out: str | None) -> None:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    import os
-
-    env = os.environ.get(MASTER_SEED_ENV)
-    return int(env) if env else 0
+    if seed is None:
+        env = os.environ.get(MASTER_SEED_ENV)
+        seed = int(env) if env else 0
+    if seed < 0:
+        raise ConfigError(f"master seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _parse_auto(value: str, name: str) -> float | None:
@@ -171,17 +172,6 @@ def oracle(problem_path, out):
     )
 
 
-def _run_settings(t, t0, c, variant, window, epsilon) -> RunSettings:
-    return RunSettings(
-        clock_size=t,
-        t0=_parse_auto(t0, "--t0"),
-        rotation_scale=_parse_auto(c, "--c"),
-        variant=variant,
-        window=window,
-        epsilon=epsilon,
-    )
-
-
 _COMMON_RUN_OPTIONS = [
     click.option("--problem", "problem_path", required=True, help="Problem file."),
     click.option("-T", "--clock-size", "t", type=int, default=1024, show_default=True,
@@ -214,40 +204,32 @@ def _with_options(options):
     return wrap
 
 
-def _config_echo(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed):
-    return {
-        "problem": problem_path,
-        "T": t,
-        "t0": t0,
-        "C": c,
-        "variant": variant,
-        "window": window,
-        "shots": shots,
-        "delta": delta,
-        "epsilon": epsilon,
-        "seed": seed,
-    }
+def _run_inputs(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed):
+    """The problem, master seed, settings, swap-test plan and config echo of a run."""
+    problem = load_problem(problem_path)
+    master = _resolve_seed(seed)
+    settings = RunSettings(
+        clock_size=t,
+        t0=_parse_auto(t0, "--t0"),
+        rotation_scale=_parse_auto(c, "--c"),
+        variant=variant,
+        window=window,
+        epsilon=epsilon,
+    )
+    plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
+    config = {"problem": problem_path, "T": t, "t0": t0, "C": c, "variant": variant,
+              "window": window, "shots": shots, "delta": delta, "epsilon": epsilon,
+              "seed": master}
+    return problem, master, settings, plan, config
 
 
 @main.command()
 @_with_options(_COMMON_RUN_OPTIONS)
-def run(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, out):
+def run(out, **options):
     """Prepare the fit state and estimate fit quality by swap test."""
-    problem = load_problem(problem_path)
-    master = _resolve_seed(seed)
-    settings = _run_settings(t, t0, c, variant, window, epsilon)
-    plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
+    problem, master, settings, plan, config = _run_inputs(**options)
     report = estimate_fit_quality(problem, settings, plan)
-    obj = fit_report_to_json(
-        report,
-        extra={
-            "config": _config_echo(
-                problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
-            ),
-            "masterSeed": master,
-        },
-    )
-    _write_json(obj, out)
+    _write_json(fit_report_to_json(report, extra={"config": config, "masterSeed": master}), out)
 
 
 @main.command()
@@ -258,13 +240,9 @@ def run(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, ou
               help="Support-sampling shot multiplier.")
 @click.option("--tom-epsilon", type=float, default=0.05, show_default=True,
               help="Tomography reconstruction accuracy target.")
-def learn(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, out,
-          m_prime, alpha, tom_epsilon):
+def learn(out, m_prime, alpha, tom_epsilon, **options):
     """Learn a sparse parameter vector by support sampling and tomography."""
-    problem = load_problem(problem_path)
-    master = _resolve_seed(seed)
-    settings = _run_settings(t, t0, c, variant, window, epsilon)
-    plan = SwapTestPlan(shots=shots, delta=delta, seed=derive_seed(master, STREAM_SWAP))
+    problem, master, settings, plan, config = _run_inputs(**options)
     report = learn_sparse_fit(
         problem,
         m_prime,
@@ -274,12 +252,8 @@ def learn(problem_path, t, t0, c, variant, window, shots, delta, epsilon, seed, 
         alpha=alpha,
         tomography_epsilon=tom_epsilon,
     )
-    config = _config_echo(
-        problem_path, t, t0, c, variant, window, shots, delta, epsilon, master
-    )
     config.update({"mPrime": m_prime, "alpha": alpha, "tomEpsilon": tom_epsilon})
-    obj = learn_report_to_json(report, extra={"config": config, "masterSeed": master})
-    _write_json(obj, out)
+    _write_json(learn_report_to_json(report, extra={"config": config, "masterSeed": master}), out)
 
 
 def _cost_csv(report_obj: dict) -> str:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import ConfigError
 
 COST_SCHEMA_VERSION = 1
@@ -96,7 +94,7 @@ class CostReport:
 
 
 def query_count(query: CostQuery) -> float:
-    logn = float(np.log2(query.n))
+    logn = math.log2(query.n)
     s, k = float(query.s), query.kappa
     eps, delta = query.epsilon, query.delta
     algorithm = ALGORITHM_ALIASES[query.algorithm]

@@ -122,9 +122,10 @@ def normalize_problem(
         raise DimensionError(
             f"F has {f.shape[0]} rows but y has {yv.size} entries"
         )
-    y_norm = float(np.linalg.norm(yv))
-    if y_norm <= 0:
-        raise DimensionError("y must be nonzero")
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(yv))
+    if not 0 < y_norm < math.inf:
+        raise DimensionError(f"y must be nonzero with a finite norm, got norm {y_norm}")
     cond = linalg.condition_estimate(f)  # raises on singular F
     scale_f = 1.0 / cond.sigma_max
     scale_y = 1.0 / y_norm
@@ -365,8 +366,12 @@ def save_problem(problem: FitProblem, path) -> None:
 
 
 def load_problem(path) -> FitProblem:
-    with open(path) as fh:
-        return problem_from_json(json.load(fh))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"problem file {path} is not UTF-8 text: {exc}") from exc
+    return problem_from_json(obj)
 
 
 def restrict_columns(problem: FitProblem, support) -> FitProblem:

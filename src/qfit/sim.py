@@ -662,8 +662,8 @@ class SwapTestPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError("swap test needs at least one shot")
+        if not 1 <= self.shots <= np.iinfo(np.int64).max:
+            raise ConfigError(f"swap test shots must lie in 1..2**63-1, got {self.shots}")
 
 
 @dataclass(frozen=True)

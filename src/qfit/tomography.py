@@ -75,6 +75,9 @@ def plan_budget(m_prime: int, epsilon: float) -> TomographyBudget:
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     settings = int(np.ceil(m_prime * (np.log2(m_prime) + 1) ** 2))
+    # Pooled counts are int64, so the whole budget must fit in one.
+    if epsilon**2 == 0 or settings * (m_prime / epsilon**2) > np.iinfo(np.int64).max:
+        raise ConfigError(f"epsilon = {epsilon:g} asks for more shots than int64 counts")
     shots = int(np.ceil(m_prime / epsilon**2))
     return TomographyBudget(settings=settings, shots_per_setting=shots, epsilon=epsilon)
 

@@ -21,7 +21,7 @@ from qfit.algorithms import (
     select_support,
     support_shot_count,
 )
-from qfit.exceptions import ConfigError, DimensionError, InvariantError
+from qfit.exceptions import ConfigError, DimensionError, InvariantError, PostselectionError
 from qfit.linalg import SINGULAR_TOL, EigDecomposition, eig_hermitian, embed
 from qfit.problems import ProblemSpec, generate_problem, normalize_problem, restrict_columns
 from qfit.sim import (
@@ -357,15 +357,28 @@ class TestLearnSparseFit:
             expected = estimate_fit_quality(reduced, settings, plan)
             assert fit_report_to_json(report.fit_report) == fit_report_to_json(expected)
 
-    def test_near_degenerate_support_gets_the_degenerate_fit_report(self):
-        # lambda = (2, 1), but y is orthogonal to column 0 up to 1e-14, so the
-        # reduced problem prepares while its fit report is the degenerate one.
-        prob = normalize_problem([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]], [1e-14, 1.0, 0.0])
-        settings = RunSettings(clock_size=256)
+    @pytest.mark.parametrize("f, y, passes", [
+        # lambda = (2, 1), but y is orthogonal to column 0 (up to 1e-14), so the
+        # reduced problem on support (0,) has no reachable fitted state: learning
+        # stops after the 3 full-problem passes, before any reduced pass.
+        pytest.param([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]], [1e-14, 1.0, 0.0], 3,
+                     id="support-1e-14"),
+        pytest.param([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]], [0.0, 1.0, 0.0], 3,
+                     id="support-0"),
+        # y is orthogonal to the only column: refused before the first pass.
+        pytest.param([[1.0], [0.0]], [0.0, 1.0], 0, id="full"),
+    ])
+    def test_orthogonal_support_is_refused(self, monkeypatch, f, y, passes):
+        calls = []
+        apply_pass = qfit.algorithms.apply_hermitian_via_pe
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_pass(*args, **kwargs)
+
+        monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", counted)
         plan = SwapTestPlan(shots=100, seed=1)
-        report = learn_sparse_fit(prob, 1, settings, plan, seed=0)
-        assert report.recovered_support == (0,)
-        assert report.fit_report.degenerate_fit
-        assert report.fit_report.passes == ()
-        expected = estimate_fit_quality(restrict_columns(prob, (0,)), settings, plan)
-        assert fit_report_to_json(report.fit_report) == fit_report_to_json(expected)
+        with pytest.raises(PostselectionError, match=r"support \(0,\)"):
+            learn_sparse_fit(normalize_problem(f, y), 1, RunSettings(clock_size=256), plan,
+                             seed=0)
+        assert len(calls) == passes

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from qfit.cli import main
-from qfit.problems import load_problem, save_problem
+from qfit.problems import load_problem, normalize_problem, save_problem
 
 
 @pytest.fixture
@@ -235,6 +236,15 @@ class TestCost:
                                       "--eps", "0.5"])
         assert result.exit_code == 2
 
+    def test_exponentially_large_n_is_priced(self, runner):
+        n = 10**29
+        result = invoke(runner, ["cost", "--n", str(n), "--s", "2", "--kappa", "2",
+                                 "--eps", "0.1", "--alg", "eq3"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["query"]["n"] == n
+        assert payload["queries"] == pytest.approx(math.log2(n) * 8 * 64 / 0.1, rel=1e-12)
+
 
 class TestErrorBoundary:
     """Every command reports qfit and file errors as one error object, exit 2."""
@@ -275,6 +285,13 @@ class TestErrorBoundary:
         pytest.param("run", ["--delta", "1e-200"], id="run-delta-underflow"),
         pytest.param("cost", ["--kappa", "nan"], id="cost-kappa-nan"),
         pytest.param("cost", ["--kappa", "inf"], id="cost-kappa-inf"),
+        pytest.param("run", ["--shots", str(10**29)], id="run-shots-overflow"),
+        pytest.param("learn", ["--shots", str(10**29)], id="learn-shots-overflow"),
+        pytest.param("learn", ["--alpha", "1e300"], id="learn-alpha-overflow"),
+        pytest.param("learn", ["--tom-epsilon", "1e-300"], id="learn-tom-epsilon-underflow"),
+        pytest.param("run", ["--seed", "-1"], id="run-seed-negative"),
+        pytest.param("learn", ["--seed", "-1"], id="learn-seed-negative"),
+        pytest.param("generate", ["--seed", "-1"], id="generate-seed-negative"),
     ])
     def test_out_of_range_setting_fails_with_config_error_json(self, runner, tmp_path,
                                                                planted_problem_file,
@@ -283,6 +300,31 @@ class TestErrorBoundary:
         args = self._args(command, planted_problem_file, out) + flags
         result = runner.invoke(main, args)
         assert error_payload(result)["error"] == "ConfigError"
+
+    def test_negative_env_seed_fails_with_config_error_json(self, runner, tmp_path,
+                                                            planted_problem_file):
+        args = self._args("run", planted_problem_file, str(tmp_path / "x.json"))
+        result = runner.invoke(main, args, env={"QFIT_SEED": "-1"})
+        assert error_payload(result)["error"] == "ConfigError"
+
+    def test_problem_file_that_is_not_utf8_fails_with_schema_error_json(self, runner,
+                                                                        tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b'\xff\xfe{"kind": "fit-problem"}')
+        result = runner.invoke(main, ["run", "--problem", str(path), "-T", "64"])
+        assert result.stdout == ""
+        assert error_payload(result)["error"] == "SchemaError"
+
+    def test_support_orthogonal_to_y_fails_with_postselection_error_json(self, runner,
+                                                                         tmp_path):
+        path = tmp_path / "problem.json"
+        save_problem(normalize_problem([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]],
+                                       [1e-14, 1.0, 0.0]), path)
+        result = runner.invoke(main, ["learn", "--problem", str(path), "-T", "256",
+                                      "--m-prime", "1", "--seed", "0"])
+        payload = error_payload(result)
+        assert payload["error"] == "PostselectionError"
+        assert "support (0,)" in payload["message"]
 
     @pytest.mark.parametrize("command", ["run", "learn"])
     def test_unpriceable_settings_fail_before_any_pass(self, runner, tmp_path, monkeypatch,
