@@ -389,9 +389,10 @@ def learn_sparse_fit(
 ) -> LearnReport:
     """Find the m' most relevant fit functions, refit, and reconstruct.
 
-    Each of the full and the reduced problem is priced before its passes,
-    so settings the cost model cannot price fail before any work, and is
-    refused before its passes when y is orthogonal to its fit functions.
+    The full and the reduced problem are each priced before their own
+    passes, so settings the cost model cannot price fail before that work.
+    Either is refused before its passes when y is orthogonal to its fit
+    functions.
     """
     if not 1 <= m_prime <= problem.m:
         raise DimensionError(f"m' must lie in 1..{problem.m}, got {m_prime}")

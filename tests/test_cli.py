@@ -315,11 +315,12 @@ class TestErrorBoundary:
         assert result.stdout == ""
         assert error_payload(result)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("y0", [1e-14, 0.0])
     def test_support_orthogonal_to_y_fails_with_postselection_error_json(self, runner,
-                                                                         tmp_path):
+                                                                         tmp_path, y0):
         path = tmp_path / "problem.json"
         save_problem(normalize_problem([[1.0, -2.0], [0.0, 1.0], [0.0, 0.0]],
-                                       [1e-14, 1.0, 0.0]), path)
+                                       [y0, 1.0, 0.0]), path)
         result = runner.invoke(main, ["learn", "--problem", str(path), "-T", "256",
                                       "--m-prime", "1", "--seed", "0"])
         payload = error_payload(result)
