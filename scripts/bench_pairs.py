@@ -12,7 +12,10 @@ change first in odd ones.  For every end-to-end metric of
 its runs, every run's value, the relative change of the medians, the
 pairs the change won and lost (ties count for neither) and
 ``within_bound``: whether the change's median is worse than the parent's
-by no more than the metric's bound.
+by no more than the metric's bound.  After the pairs, each side runs
+every workload once more with ``--trace 1`` at seed ``S + N``; the
+top-level ``traced`` block holds those runs' per-layer values per
+operation as they read, zeros included.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ def extract(commit: str, dest: Path) -> dict:
     return {"commit": git("rev-parse", commit), "src_tree": git("rev-parse", f"{commit}:src")}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, dict]:
     """One benchmark run in ``root``: its result object and its meta line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -105,7 +109,7 @@ def measure(benchmark: dict, roots: dict, commits: dict, seeds: list[int]) -> di
         runs: dict = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result, meta = run_once(roots[side], workload, seed, seconds)
+                result, meta = run_once(roots[side], workload, seed, seconds, 0)
                 summary[side]["source_sha256"] = meta["source_sha256"]
                 runs[side].append(result)
                 print(f"{workload} pair {i} seed {seed} {side}: latency_p50_s "
@@ -125,6 +129,24 @@ def measure(benchmark: dict, roots: dict, commits: dict, seeds: list[int]) -> di
     return summary
 
 
+def measure_traced(benchmark: dict, roots: dict, seed: int) -> dict:
+    """One ``--trace 1`` run per workload and side: the ``traced`` block."""
+    seconds = benchmark["run_seconds"]
+    block: dict = {"what": f"one --trace 1 run per workload and side, seed {seed}, "
+                           f"--seconds {seconds:g}; per-operation values"}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        block[workload] = {}
+        for side in ("parent", "change"):
+            result, _ = run_once(roots[side], workload, seed, seconds, 1)
+            block[workload][side] = {
+                "correct": result["correct"],
+                **{name: metric["value"] for name, metric in result["metrics"].items()},
+            }
+            print(f"{workload} traced seed {seed} {side}: correct={result['correct']}",
+                  file=sys.stderr, flush=True)
+    return block
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="commit measured as the parent")
@@ -142,6 +164,7 @@ def main() -> int:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: extract(getattr(args, side), roots[side]) for side in roots}
         summary = measure(benchmark, roots, commits, seeds)
+        summary["traced"] = measure_traced(benchmark, roots, args.seed + args.pairs)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

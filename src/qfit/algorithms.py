@@ -169,16 +169,21 @@ def prepare_fit_parameters(
     op: EmbeddedOperator | None = None,
     eig: EigDecomposition | None = None,
 ) -> PreparationResult:
-    """Run the parameter-preparation pipeline on a normalized problem."""
-    if op is None:
-        op = embed(problem.design_matrix)
+    """Run the parameter-preparation pipeline on a normalized problem.
+
+    The passes need only ``eig``, the eigensystem of the design matrix's
+    embedding ``op``; when ``eig`` is not given it is computed, from ``op``
+    if that is given.
+    """
     if eig is None:
-        eig = eig_hermitian(op)
-    layout = RegisterLayout(clock_size=spec.stages[0].clock_size, system_dim=op.dim)
+        eig = eig_hermitian(embed(problem.design_matrix) if op is None else op)
+    layout = RegisterLayout(
+        clock_size=spec.stages[0].clock_size, system_dim=problem.m + problem.n
+    )
     state = prepare_data_state(problem, layout)
     passes: list[PhaseEstimationPass] = []
     for config in spec.stages:
-        state, info = apply_hermitian_via_pe(state, op, config, eig=eig)
+        state, info = apply_hermitian_via_pe(state, eig, config)
         passes.append(info)
     out_vec = extract_system_vector(state)
     solution = classical_fit(problem)
@@ -209,22 +214,19 @@ class FitReport:
     swap: SwapTestResult
     passes: tuple[PhaseEstimationPass, ...]
     degenerate_fit: bool
-    total_shots: int
-    swap_seed: int
+    plan: SwapTestPlan
     cost: CostReport
     settings: RunSettings
-    delta: float
 
 
 def _cost(
     problem: FitProblem, epsilon: float, delta: float, algorithm: str, m_prime: int
 ) -> CostReport:
     cond = condition_estimate(problem.design_matrix)
-    prof = sparsity_profile(problem.design_matrix, tol=1e-12)
     return cost_model(
         CostQuery(
             n=max(problem.n, 2),
-            s=prof.s,
+            s=sparsity_profile(problem.design_matrix),
             kappa=max(cond.kappa, 1.0),
             epsilon=epsilon,
             delta=delta,
@@ -244,7 +246,7 @@ def _prepare(
 ):
     """Price, embed and eigensolve ``problem``, then run its preparation passes.
 
-    Returns ``(prep, cost, op, eig, spec)``.  When y is orthogonal to the
+    Returns ``(prep, cost, eig, spec)``.  When y is orthogonal to the
     column space of F (|F^dag y| < 1e-12) the fitted state is unreachable,
     since its postselection succeeds with probability exactly zero: with
     ``support`` None, ``spec`` and ``prep`` are then None; otherwise no pass
@@ -252,17 +254,16 @@ def _prepare(
     priced first, so settings it cannot price fail before any pass.
     """
     cost = _cost(problem, settings.epsilon, delta, algorithm, m_prime)
-    op = embed(problem.design_matrix)
-    eig = eig_hermitian(op)
+    eig = eig_hermitian(embed(problem.design_matrix))
     if np.linalg.norm(problem.design_matrix.conj().T @ problem.y) < 1e-12:
         if support is not None:
             raise PostselectionError(
                 f"y is orthogonal to the fit functions of support {support} "
                 "(F^dag y = 0); their fitted state is unreachable"
             )
-        return None, cost, op, eig, None
+        return None, cost, eig, None
     spec = make_pipeline_spec(eig, settings)
-    return prepare_fit_parameters(problem, spec, op=op, eig=eig), cost, op, eig, spec
+    return prepare_fit_parameters(problem, spec, eig=eig), cost, eig, spec
 
 
 def estimate_fit_quality(
@@ -283,7 +284,6 @@ def _report_fit_quality(
     plan: SwapTestPlan,
     prep: PreparationResult | None,
     cost: CostReport,
-    op: EmbeddedOperator,
     eig: EigDecomposition,
     spec: PipelineSpec | None,
 ) -> FitReport:
@@ -304,9 +304,7 @@ def _report_fit_quality(
             mode=MODE_MULTIPLY,
             rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
         )
-        fitted_state, project_info = apply_hermitian_via_pe(
-            prep.state, op, project_config, eig=eig
-        )
+        fitted_state, project_info = apply_hermitian_via_pe(prep.state, eig, project_config)
         fitted_vec = extract_system_vector(fitted_state)
         passes = prep.passes + (project_info,)
         lambda_fidelity = prep.fidelity_vs_oracle
@@ -334,11 +332,9 @@ def _report_fit_quality(
         swap=swap,
         passes=passes,
         degenerate_fit=prep is None,
-        total_shots=plan.shots,
-        swap_seed=plan.seed,
+        plan=plan,
         cost=cost,
         settings=settings,
-        delta=plan.delta,
     )
 
 
@@ -404,7 +400,7 @@ def learn_sparse_fit(
     )
 
     histogram = measure_computational(
-        prep.state, shots, derive_seed(seed, STREAM_SUPPORT)
+        prep.system_vector, shots, derive_seed(seed, STREAM_SUPPORT)
     )
     param_counts = histogram[: problem.m]
     support = select_support(param_counts, m_prime)
@@ -493,9 +489,9 @@ def fit_report_to_json(report: FitReport, extra: dict | None = None) -> dict:
             "pOneEstimate": report.swap.p_one_estimate,
         },
         "successProbabilities": _passes_to_json(report.passes),
-        "totalShots": report.total_shots,
-        "seeds": {"swap": report.swap_seed},
-        "delta": report.delta,
+        "totalShots": report.plan.shots,
+        "seeds": {"swap": report.plan.seed},
+        "delta": report.plan.delta,
         "settings": _settings_to_json(report.settings),
         "costModel": cost_report_to_json(report.cost),
     }

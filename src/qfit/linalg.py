@@ -87,12 +87,6 @@ class EigDecomposition:
 
 
 @dataclass(frozen=True)
-class SparsityProfile:
-    s: int  # max nonzeros over all rows and columns
-    nnz: int
-
-
-@dataclass(frozen=True)
 class ConditionEstimate:
     kappa: float
     sigma_max: float
@@ -113,13 +107,9 @@ def embed(f_matrix) -> EmbeddedOperator:
     return EmbeddedOperator(m=m, n=n, matrix=h)
 
 
-def singular_values(f_matrix) -> np.ndarray:
-    return np.linalg.svd(as_complex_matrix(f_matrix), compute_uv=False)
-
-
 def condition_estimate(f_matrix) -> ConditionEstimate:
     """Largest/smallest singular values of F and their ratio."""
-    sigma = singular_values(f_matrix)
+    sigma = np.linalg.svd(as_complex_matrix(f_matrix), compute_uv=False)
     smax = float(sigma[0])
     smin = float(sigma[-1])
     if smin < SINGULAR_TOL:
@@ -130,16 +120,10 @@ def condition_estimate(f_matrix) -> ConditionEstimate:
     return ConditionEstimate(kappa=smax / smin, sigma_max=smax, sigma_min=smin)
 
 
-def sparsity_profile(f_matrix, tol: float = 0.0) -> SparsityProfile:
-    """Max nonzeros per row/column and the total nonzero count."""
-    f = as_complex_matrix(f_matrix)
-    mask = np.abs(f) > tol
-    per_row = mask.sum(axis=1)
-    per_col = mask.sum(axis=0)
-    return SparsityProfile(
-        s=int(max(per_row.max(), per_col.max())),
-        nnz=int(mask.sum()),
-    )
+def sparsity_profile(f_matrix) -> int:
+    """Sparsity s: the most entries above 1e-12 in any row or column."""
+    mask = np.abs(as_complex_matrix(f_matrix)) > 1e-12
+    return int(max(mask.sum(axis=1).max(), mask.sum(axis=0).max()))
 
 
 def pseudoinverse(f_matrix) -> np.ndarray:
@@ -196,13 +180,9 @@ def nonzero_extent(eigenvalues) -> tuple[float, float] | None:
 
 
 def apply_matrix_function(
-    op: EmbeddedOperator | EigDecomposition | np.ndarray,
-    func: Callable[[np.ndarray], np.ndarray],
-    vector,
+    eig: EigDecomposition, func: Callable[[np.ndarray], np.ndarray], vector
 ) -> np.ndarray:
-    """Apply f(H) to a vector through the spectral decomposition.
-
-    Accepts a precomputed decomposition to avoid repeating the eigensolve.
+    """Apply f(H) to a vector through H's spectral decomposition ``eig``.
 
     Eigenvalues with |E| <= SINGULAR_TOL are snapped to exactly zero
     before evaluating ``func``; any non-finite value of ``func`` (such as
@@ -210,7 +190,6 @@ def apply_matrix_function(
     1/E pseudo-inverse semantics on the kernel while leaving functions
     that are finite at zero untouched.
     """
-    eig = op if isinstance(op, EigDecomposition) else eig_hermitian(op)
     v = as_complex_vector(vector)
     energies = np.where(np.abs(eig.eigenvalues) <= SINGULAR_TOL, 0.0, eig.eigenvalues)
     with np.errstate(divide="ignore", invalid="ignore"):

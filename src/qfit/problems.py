@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class DataSet:
 
     x: np.ndarray
     y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
 
 
 @dataclass(frozen=True)
@@ -144,15 +140,6 @@ def normalize_problem(
     )
 
 
-def problem_from_points(x, y, basis: FitBasis, seed: int | None = None) -> FitProblem:
-    xs = linalg.as_complex_vector(x)
-    ys = linalg.as_complex_vector(y)
-    if xs.size != ys.size:
-        raise DimensionError("x and y must have the same length")
-    f = build_design_matrix(xs, basis)
-    return normalize_problem(f, ys, basis=basis, data_set=DataSet(x=xs, y=ys), seed=seed)
-
-
 def classical_fit(problem: FitProblem) -> FitSolution:
     """Reference least-squares solution of the normalized problem."""
     pinv = linalg.pseudoinverse(problem.design_matrix)
@@ -199,9 +186,15 @@ class ProblemSpec:
     noise: float = 0.0
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_columns(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``cols`` columns of a Haar-random dim x dim unitary.
+
+    The whole dim x dim Gaussian matrix is drawn, so the generator's stream
+    does not depend on ``cols``; only its first ``cols`` columns are
+    QR-factored, since they alone fix those columns of Q.
+    """
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(z[:, :cols])
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
@@ -260,8 +253,8 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
         if kappa < 1:
             raise GenerationError("condition target must be >= 1")
         sigma = np.logspace(0.0, -np.log10(kappa), spec.m)
-        u = _haar_unitary(spec.n, rng)[:, : spec.m]
-        v = _haar_unitary(spec.m, rng)
+        u = _haar_columns(spec.n, spec.m, rng)
+        v = _haar_columns(spec.m, spec.m, rng)
         f_raw = (u * sigma) @ v.conj().T
         xs = np.arange(spec.n, dtype=complex)
         basis = FitBasis(kind=BASIS_CUSTOM, m=spec.m)
@@ -334,10 +327,17 @@ def problem_from_json(obj: dict) -> FitProblem:
         raise SchemaError(f"malformed problem file: {exc}") from exc
     if version != PROBLEM_SCHEMA_VERSION:
         raise SchemaError(f"unsupported problem schema version {version}")
-    if y.size != f.shape[0]:
+    for name, values in (("yVector", y), ("dataSet.x", data_set.x), ("dataSet.y", data_set.y)):
+        if values.size != f.shape[0]:
+            raise SchemaError(
+                f"problem file {name} has {values.size} entries but designMatrix "
+                f"has {f.shape[0]} rows"
+            )
+    if kind not in (BASIS_POLYNOMIAL, BASIS_FOURIER, BASIS_CUSTOM):
+        raise SchemaError(f"problem file basis kind {kind!r} is unknown")
+    if m != f.shape[1]:
         raise SchemaError(
-            f"problem file yVector has {y.size} entries but designMatrix "
-            f"has {f.shape[0]} rows"
+            f"problem file basis has m = {m} but designMatrix has {f.shape[1]} columns"
         )
     if not all(np.isfinite(c) and c > 0 for c in (scale_f, scale_y)):
         raise SchemaError("problem file normScale entries must be finite and positive")
@@ -381,5 +381,4 @@ def restrict_columns(problem: FitProblem, support) -> FitProblem:
         raise DimensionError(f"support {support} invalid for m={problem.m}")
     f_raw = problem.design_matrix[:, support] / problem.scale_f
     y_raw = problem.y / problem.scale_y
-    sub = normalize_problem(f_raw, y_raw, data_set=problem.data_set)
-    return replace(sub, seed=problem.seed)
+    return normalize_problem(f_raw, y_raw, data_set=problem.data_set, seed=problem.seed)

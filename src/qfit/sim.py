@@ -102,10 +102,8 @@ import numpy as np
 from .exceptions import ConfigError, DimensionError, PostselectionError
 from .linalg import (
     EigDecomposition,
-    EmbeddedOperator,
     apply_matrix_function,
     as_complex_vector,
-    eig_hermitian,
     nonzero_extent,
 )
 from .problems import FitProblem
@@ -258,20 +256,8 @@ def default_rotation_scale(mode: str, eigenvalues) -> float:
 # --- state preparation --------------------------------------------------------
 
 
-def prepare_data_state(problem: FitProblem, layout: RegisterLayout) -> QuantumState:
-    """Full-register state holding y in the data sector, clock and flag at |0>."""
-    m = problem.m
-    dim = problem.m + problem.n
-    if layout.system_dim != dim:
-        raise DimensionError(
-            f"layout system dim {layout.system_dim} != problem dim {dim}"
-        )
-    amp = np.zeros((layout.clock_size, dim, 2), dtype=complex, order="F")
-    amp[0, m : m + problem.n, 0] = problem.y
-    return QuantumState(layout=layout, amplitudes=amp)
-
-
 def state_from_system_vector(vector, layout: RegisterLayout) -> QuantumState:
+    """Full-register state holding ``vector`` in the system, clock and flag at |0>."""
     v = as_complex_vector(vector)
     if v.size != layout.system_dim:
         raise DimensionError("system vector length does not match layout")
@@ -285,6 +271,11 @@ def data_state_vector(problem: FitProblem) -> np.ndarray:
     v = np.zeros(problem.m + problem.n, dtype=complex)
     v[problem.m :] = problem.y
     return v
+
+
+def prepare_data_state(problem: FitProblem, layout: RegisterLayout) -> QuantumState:
+    """Full-register state holding y in the data sector, clock and flag at |0>."""
+    return state_from_system_vector(data_state_vector(problem), layout)
 
 
 def clock_window(clock_size: int, window: str) -> np.ndarray:
@@ -593,25 +584,21 @@ def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> Qua
 
 
 def apply_hermitian_via_pe(
-    state: QuantumState,
-    op: EmbeddedOperator,
-    config: PhaseEstimationConfig,
-    eig: EigDecomposition | None = None,
+    state: QuantumState, eig: EigDecomposition, config: PhaseEstimationConfig
 ) -> tuple[QuantumState, PhaseEstimationPass]:
-    """One full eigenvalue-arithmetic pass on a clock-and-flag-fresh state.
+    """One full eigenvalue-arithmetic pass of H, given as its eigensystem ``eig``.
 
-    The system vector goes into H's eigenbasis, then: window preparation,
-    conditional evolution, clock QFT, flag rotation, uncomputation, and
-    postselection of flag = 1 followed by clock = |0>.  Only the kept
-    branch is built: the window state is written directly, the rotation's
-    flag-1 output alone, and both postselections read the flag-1 slice in
-    place.  The surviving system row comes back out of the eigenbasis.
-    The result is a fresh state (clock |0>, flag |0>) whose system
-    register approximates f(H)|psi> / ||f(H)|psi>|| with f set by the
-    mode, together with exact pass diagnostics.
+    The pass runs on a clock-and-flag-fresh state.  The system vector goes
+    into H's eigenbasis, then: window preparation, conditional evolution,
+    clock QFT, flag rotation, uncomputation, and postselection of flag = 1
+    followed by clock = |0>.  Only the kept branch is built: the window
+    state is written directly, the rotation's flag-1 output alone, and both
+    postselections read the flag-1 slice in place.  The surviving system
+    row comes back out of the eigenbasis.  The result is a fresh state
+    (clock |0>, flag |0>) whose system register approximates
+    f(H)|psi> / ||f(H)|psi>|| with f set by the mode, together with exact
+    pass diagnostics.
     """
-    if eig is None:
-        eig = eig_hermitian(op)
     validate_config(config, eig.eigenvalues)
     psi_in = extract_system_vector(state)
     vecs = eig.eigenvectors
@@ -708,23 +695,18 @@ def swap_test(state_a, state_b, plan: SwapTestPlan) -> SwapTestResult:
     )
 
 
-def measure_computational(state, shots: int, seed: int) -> np.ndarray:
-    """Histogram of system-basis measurement outcomes.
+def measure_computational(vector, shots: int, seed: int) -> np.ndarray:
+    """Histogram of computational-basis outcomes of a system vector.
 
-    Accepts a QuantumState (marginalizing over clock and flag) or a bare
-    system vector.  Returns integer counts per basis index, reproducible
-    under the seed.
+    Returns integer counts per basis index, drawn from |v|^2 and
+    reproducible under the seed.
     """
     if shots < 1:
         raise ConfigError("need at least one shot")
-    if isinstance(state, QuantumState):
-        probs = np.abs(state.amplitudes) ** 2
-        marginal = probs.sum(axis=0).sum(axis=1)
-    else:
-        marginal = np.abs(as_complex_vector(state)) ** 2
-    total = marginal.sum()
+    probs = np.abs(as_complex_vector(vector)) ** 2
+    total = probs.sum()
     if total <= 0:
         raise DimensionError("state has zero norm")
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, marginal / total)
+    return rng.multinomial(shots, probs / total)
 

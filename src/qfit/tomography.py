@@ -53,7 +53,7 @@ class ReconstructedState:
     """Unit-norm amplitude estimate with the global phase canonicalized."""
 
     amplitudes: np.ndarray
-    fidelity_vs_oracle: float | None = None
+    fidelity_vs_oracle: float
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,13 @@ def reconstruct_pure_state(
     state_preparer: Callable[[], np.ndarray],
     budget: TomographyBudget,
     seed: int,
-    oracle: np.ndarray | None = None,
+    oracle: np.ndarray,
 ) -> tuple[ReconstructedState, list[SettingRecord]]:
     """Reconstruct the state produced by ``state_preparer``.
 
     The preparer is called once per setting repetition (fresh copy per
-    measurement round).  Returns the estimate and the per-setting raw
-    counts.  Raises if the reference component (the largest-probability
+    measurement round).  Returns the estimate, with its fidelity to the
+    exact state ``oracle``, and the per-setting raw counts.  Raises if the reference component (the largest-probability
     index) is too weak for a conditioned phase readout.
     """
     rng = spawn_rng(seed, 0)
@@ -197,8 +197,5 @@ def reconstruct_pure_state(
     estimate[ref] = ref_amp
     result = canonicalize_phase(estimate)
 
-    fidelity = None
-    if oracle is not None:
-        oracle_vec = canonicalize_phase(oracle)
-        fidelity = float(abs(np.vdot(oracle_vec, result)) ** 2)
+    fidelity = float(abs(np.vdot(canonicalize_phase(oracle), result)) ** 2)
     return ReconstructedState(amplitudes=result, fidelity_vs_oracle=fidelity), records

@@ -97,6 +97,41 @@ class TestOracle:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert "error" in payload
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("kind", "foo", id="kind-unknown"),
+        pytest.param("m", 0, id="m-zero"),
+        pytest.param("m", 7, id="m-above-columns"),
+        pytest.param("x", 1, id="x-short"),
+        pytest.param("y", 3, id="y-short"),
+    ])
+    def test_records_contradicting_the_design_matrix_fail_with_schema_error_json(
+            self, runner, tmp_path, field, value):
+        path = tmp_path / "problem.json"
+        invoke(runner, ["generate", "--kind", "poly", "--n", "4", "--m", "2",
+                        "--out", str(path)])
+        obj = json.loads(path.read_text())
+        if field in ("kind", "m"):
+            obj["basis"][field] = value
+        else:
+            obj["dataSet"][field] = obj["dataSet"][field][:value]
+        path.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["oracle", "--problem", str(path)])
+        assert result.stdout == ""
+        assert error_payload(result)["error"] == "SchemaError"
+
+    def test_custom_basis_takes_m_from_its_matrix(self, runner, tmp_path):
+        path = tmp_path / "problem.json"
+        invoke(runner, ["generate", "--kind", "random", "--n", "4", "--m", "2",
+                        "--out", str(path)])
+        obj = json.loads(path.read_text())
+        assert obj["basis"]["kind"] == "custom"
+        obj["basis"]["m"] = 7
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "sol.json"
+        assert invoke(runner, ["oracle", "--problem", str(path),
+                               "--out", str(out)]).exit_code == 0
+        assert len(json.loads(out.read_text())["lambda"]) == 2
+
 
 class TestRun:
     def test_worked_instance_report(self, runner, worked_problem_file, tmp_path):

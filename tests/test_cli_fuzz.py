@@ -11,8 +11,10 @@ or a numpy warning fails it.
 
 Bounds that keep an example small: ``-T`` is at most 256 or a size the
 amplitude cap refuses before it allocates, and ``generate --n/--m`` are
-at most 64, since ``generate`` draws an n x n Haar matrix.  QFIT_SEED is
-drawn only as an integer, and every problem file is valid JSON: a
+at most 64: ``generate --kind random`` still draws an n x n Gaussian
+matrix, though it QR-factors only the m columns it keeps, and n has no
+cap (a huge n ends in a numpy memory error).  QFIT_SEED is drawn only as
+an integer, and every problem file is valid JSON: a
 non-integer QFIT_SEED and a non-JSON problem file still end in a
 traceback.  The module is skipped where hypothesis is not installed.
 """

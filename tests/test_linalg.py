@@ -155,27 +155,26 @@ class TestApplyMatrixFunction:
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
     def test_identity_function_is_matrix_product(self):
-        out = apply_matrix_function(self.X, lambda e: e, [1.0, 0.0])
+        out = apply_matrix_function(eig_hermitian(self.X), lambda e: e, [1.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
     def test_inverse_of_involution(self):
-        out = apply_matrix_function(self.X, lambda e: 1.0 / e, [0.0, 1.0])
+        out = apply_matrix_function(eig_hermitian(self.X), lambda e: 1.0 / e, [0.0, 1.0])
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_constant_one_is_identity(self, rng):
         f = random_complex_matrix(rng, 4, 2)
         v = random_complex_vector(rng, 6)
-        out = apply_matrix_function(embed(f), lambda e: np.ones_like(e), v)
+        out = apply_matrix_function(eig_hermitian(embed(f)), lambda e: np.ones_like(e), v)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_pseudo_inverse_projects_kernel(self, rng):
         # 1/E then E acts as the projector onto the nonzero eigenspace.
         f = random_complex_matrix(rng, 5, 2)  # embedding has 3 zero modes
-        op = embed(f)
-        eig = eig_hermitian(op)
+        eig = eig_hermitian(embed(f))
         v = random_complex_vector(rng, 7)
-        inv = apply_matrix_function(op, lambda e: 1.0 / e, v)
-        back = apply_matrix_function(op, lambda e: e, inv)
+        inv = apply_matrix_function(eig, lambda e: 1.0 / e, v)
+        back = apply_matrix_function(eig, lambda e: e, inv)
         nonzero = np.abs(eig.eigenvalues) > 1e-12
         basis = eig.eigenvectors[:, nonzero]
         projected = basis @ (basis.conj().T @ v)
@@ -205,12 +204,10 @@ class TestConditionEstimate:
 
 class TestSparsityProfile:
     def test_dense(self):
-        prof = sparsity_profile(np.ones((3, 2)))
-        assert prof.s == 3 and prof.nnz == 6
+        assert sparsity_profile(np.ones((3, 2))) == 3
 
     def test_diagonal(self):
-        prof = sparsity_profile(np.eye(4))
-        assert prof.s == 1 and prof.nnz == 4
+        assert sparsity_profile(np.eye(4)) == 1
 
 
 class TestMatrixJson:

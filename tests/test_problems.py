@@ -18,7 +18,6 @@ from qfit.problems import (
     load_problem,
     normalize_problem,
     problem_from_json,
-    problem_from_points,
     problem_to_json,
     restrict_columns,
     save_problem,
@@ -131,7 +130,7 @@ class TestClassicalFit:
         x = np.linspace(0, 1, 9)
         coeff = random_complex_vector(rng, 3, unit=False)
         y = build_design_matrix(x, basis) @ coeff
-        prob = problem_from_points(x, y, basis)
+        prob = normalize_problem(build_design_matrix(x, basis), y, basis=basis)
         sol = classical_fit(prob)
         recovered = denormalized_solution(prob, sol)
         np.testing.assert_allclose(recovered.lambda_, coeff, atol=1e-10)

@@ -121,12 +121,12 @@ class TestReconstruction:
         target = np.ones(16) / 4.0
         budget = plan_budget(16, 0.05)
         with pytest.raises(TomographyError):
-            reconstruct_pure_state(constant_preparer(target), budget, seed=0)
+            reconstruct_pure_state(constant_preparer(target), budget, seed=0, oracle=target)
 
     def test_output_is_canonical_unit_norm(self, rng):
         target = random_complex_vector(rng, 3)
         state, _ = reconstruct_pure_state(
-            constant_preparer(target), plan_budget(3, 0.05), seed=5
+            constant_preparer(target), plan_budget(3, 0.05), seed=5, oracle=target
         )
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
@@ -136,7 +136,7 @@ class TestReconstruction:
     def test_records_account_for_budget(self):
         budget = plan_budget(3, 0.05)
         _, records = reconstruct_pure_state(
-            constant_preparer([0.8, 0.6, 0.0]), budget, seed=1
+            constant_preparer([0.8, 0.6, 0.0]), budget, seed=1, oracle=[0.8, 0.6, 0.0]
         )
         assert sum(r.repetitions for r in records) == budget.settings
         assert sum(r.shots for r in records) == budget.total_shots
@@ -150,5 +150,5 @@ class TestReconstruction:
             calls += 1
             return np.array([1.0, 1.0]) / np.sqrt(2)
 
-        reconstruct_pure_state(preparer, budget, seed=2)
+        reconstruct_pure_state(preparer, budget, seed=2, oracle=np.array([1.0, 1.0]))
         assert calls == budget.settings
