@@ -12,7 +12,11 @@ change first in odd ones.  For every end-to-end metric of
 its runs, every run's value, the relative change of the medians, the
 pairs the change won and lost (ties count for neither) and
 ``within_bound``: whether the change's median is worse than the parent's
-by no more than the metric's bound.  After the pairs, each side runs
+by no more than the metric's bound.  The ``wall`` block holds, per
+workload and side, each paired run's unscaled median latency and its
+probe's median unit time (``latency_p50_wall_s`` and ``probe_s`` from the
+``details`` of its ``.perfbench/<workload>/result.json``), so a scaled
+gain can be checked against wall time.  After the pairs, each side runs
 every workload once more with ``--trace 1`` at seed ``S + N``; the
 top-level ``traced`` block holds those runs' per-layer values per
 operation as they read, zeros included.
@@ -46,6 +50,15 @@ def extract(commit: str, dest: Path) -> dict:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return {"commit": git("rev-parse", commit), "src_tree": git("rev-parse", f"{commit}:src")}
+
+
+WALL_KEYS = ("latency_p50_wall_s", "probe_s")
+
+
+def wall_times(root: Path, workload: str) -> dict:
+    """The unscaled timings in the details of ``workload``'s last run in ``root``."""
+    result = json.loads((root / ".perfbench" / workload / "result.json").read_text())
+    return {key: result["details"][key] for key in WALL_KEYS}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
@@ -104,14 +117,19 @@ def measure(benchmark: dict, roots: dict, commits: dict, seeds: list[int]) -> di
         "cores": len(os.sched_getaffinity(0)),
         "blas_threads": 1,
         "workloads": {},
+        "wall": {"what": "per workload and side, each paired run's latency_p50_wall_s "
+                         "and probe_s (s, unscaled), in pair order"},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs: dict = {"parent": [], "change": []}
+        wall = {side: {key: [] for key in WALL_KEYS} for side in runs}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 result, meta = run_once(roots[side], workload, seed, seconds, 0)
                 summary[side]["source_sha256"] = meta["source_sha256"]
                 runs[side].append(result)
+                for key, value in wall_times(roots[side], workload).items():
+                    wall[side][key].append(value)
                 print(f"{workload} pair {i} seed {seed} {side}: latency_p50_s "
                       f"{result['metrics']['latency_p50_s']['value']:.6g}, "
                       f"correct={result['correct']}", file=sys.stderr, flush=True)
@@ -126,6 +144,7 @@ def measure(benchmark: dict, roots: dict, commits: dict, seeds: list[int]) -> di
                 for spec in benchmark["end_to_end"]
             },
         }
+        summary["wall"][workload] = wall
     return summary
 
 

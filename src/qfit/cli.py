@@ -8,7 +8,15 @@ QFIT_SEED environment variable, then to 0.
 
 Failures exit nonzero after printing a machine-readable error object
 {"error": ..., "message": ...} to stderr.  One boundary, on the command
-group, does that for every QfitError and OSError a command raises.
+group, does that for every QfitError, OSError and MemoryError a command
+raises.
+
+Memory: on glibc, each command first sets the process's malloc policy so
+that the state-sized arrays a phase-estimation pass frees stay in the
+heap for the next stage instead of going back to the kernel and faulting
+in anew.  The heap then keeps up to 64 MiB free.  The setting is
+process-wide, so it stays in force after ``main`` returns when ``main``
+runs in-process.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .problems import (
     save_problem,
 )
 from .seeding import STREAM_SWAP, derive_seed
-from .sim import WINDOW_SINE, WINDOW_UNIFORM, SwapTestPlan
+from .sim import DEFAULT_AMPLITUDE_CAP, WINDOW_SINE, WINDOW_UNIFORM, SwapTestPlan
 from .linalg import vector_to_json
 
 MASTER_SEED_ENV = "QFIT_SEED"
@@ -84,17 +92,40 @@ def _parse_auto(value: str, name: str) -> float | None:
         raise click.BadParameter(f"{name} must be a number or 'auto'") from exc
 
 
-class _ErrorBoundary(click.Group):
-    """Command group that reports qfit and file errors as one error object.
+def _keep_freed_memory() -> None:
+    """Keep freed arrays in the heap, where the next allocation reuses them.
 
-    Only QfitError and OSError are caught; anything else is a bug and
-    keeps its traceback.
+    Blocks below 32 MiB come from the heap instead of a fresh mmap, and the
+    heap keeps up to the largest simulator state (64 MiB) free at its top
+    instead of trimming it, so a pass's freed arrays cause no new page
+    faults.  This is process-wide: it stays in force for the rest of the
+    process, also when ``main`` runs in-process.  Where the C library has
+    no ``mallopt`` (macOS, Windows) this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt; Windows refuses CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the largest glibc takes on 64-bit
+    mallopt(-2, DEFAULT_AMPLITUDE_CAP * 16)  # M_TOP_PAD: the largest state's bytes
+
+
+class _ErrorBoundary(click.Group):
+    """Command group that reports qfit, file and memory errors as one object.
+
+    QfitError, OSError and MemoryError are caught; MemoryError covers a
+    size numpy can index but the host cannot hold.  Anything else is a bug
+    and keeps its traceback.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (QfitError, OSError) as exc:
+        except (QfitError, OSError, MemoryError) as exc:
             _fail(exc)
 
 
@@ -112,6 +143,7 @@ def _parse_support(planted: str | None) -> tuple[int, ...] | None:
 @click.group(cls=_ErrorBoundary)
 def main():
     """Least-squares fitting on a dense state-vector simulator."""
+    _keep_freed_memory()
 
 
 @main.command()

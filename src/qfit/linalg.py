@@ -140,15 +140,16 @@ def pseudoinverse(f_matrix) -> np.ndarray:
 
 
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            out[:, j] = col * (np.abs(pivot) / pivot)
-    return out
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    The first of tied largest entries is the pivot; a column whose pivot
+    is zero is returned unchanged.
+    """
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    magnitudes = np.abs(pivots)
+    live = magnitudes > 0
+    phases = np.divide(magnitudes, pivots, out=np.ones_like(pivots), where=live)
+    return np.multiply(vectors, phases, out=vectors.copy(), where=live)
 
 
 def eig_hermitian(op: EmbeddedOperator | np.ndarray) -> EigDecomposition:
@@ -160,10 +161,7 @@ def eig_hermitian(op: EmbeddedOperator | np.ndarray) -> EigDecomposition:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numerical pathology
         raise SingularMatrixError(f"eigensolver failed to converge: {exc}") from exc
-    return EigDecomposition(
-        eigenvalues=values.astype(float),
-        eigenvectors=_canonical_phases(vectors.astype(complex)),
-    )
+    return EigDecomposition(eigenvalues=values, eigenvectors=_canonical_phases(vectors))
 
 
 def nonzero_extent(eigenvalues) -> tuple[float, float] | None:

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, determinism, error reporting."""
 
+import ctypes
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qfit.cli
 from qfit.cli import main
 from qfit.problems import load_problem, normalize_problem, save_problem
 
@@ -396,3 +398,47 @@ class TestErrorBoundary:
                                       "--out", str(out)])
         assert error_payload(result)["error"] == "GenerationError"
         assert not out.exists()
+
+    def test_generate_size_numpy_cannot_index_fails_with_generation_error_json(self, runner,
+                                                                             tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["generate", "--kind", "random", "--n", "10000000000",
+                                      "--m", "2", "--out", str(out)])
+        payload = error_payload(result)
+        assert payload["error"] == "GenerationError"
+        assert "10000000000" in payload["message"]
+        assert not out.exists()
+
+    def test_memory_error_fails_with_error_json(self, runner, monkeypatch):
+        def refuse(spec, seed):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(qfit.cli, "generate_problem", refuse)
+        result = runner.invoke(main, ["generate", "--kind", "poly", "--n", "10000000000",
+                                      "--m", "2", "--out", "-"])
+        assert result.stdout == ""
+        assert error_payload(result) == {"error": "MemoryError",
+                                         "message": "Unable to allocate 149. GiB"}
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_runs_reuse_freed_memory(runner, tmp_path):
+    """A repeated run takes its arrays from the heap, not from new pages."""
+    resource = pytest.importorskip("resource")
+    problem = str(tmp_path / "problem.json")
+    invoke(runner, ["generate", "--kind", "random", "--n", "40", "--m", "24", "--seed", "5",
+                    "--out", problem])
+    args = ["run", "--problem", problem, "-T", "1024", "--out", str(tmp_path / "report.json")]
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert invoke(runner, args).exit_code == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[-1] < 1000, faults
