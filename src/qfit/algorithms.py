@@ -43,6 +43,7 @@ from .linalg import (
     embed,
     nonzero_extent,
     sparsity_profile,
+    vector_to_json,
 )
 from .problems import FitProblem, FitSolution, classical_fit, restrict_columns
 from .seeding import STREAM_SUPPORT, STREAM_TOMOGRAPHY, derive_seed
@@ -510,9 +511,7 @@ def learn_report_to_json(report: LearnReport, extra: dict | None = None) -> dict
         "recoveredSupport": list(report.recovered_support),
         "supportCounts": list(report.support_counts),
         "supportShots": report.support_shots,
-        "reconstructedAmplitudes": [
-            [float(z.real), float(z.imag)] for z in rec.amplitudes
-        ],
+        "reconstructedAmplitudes": vector_to_json(rec.amplitudes),
         "reconstructionFidelity": rec.fidelity_vs_oracle,
         "budget": {
             "settings": report.budget.settings,

@@ -212,7 +212,7 @@ def matrix_to_json(matrix) -> dict:
     return {
         "rows": int(mat.shape[0]),
         "cols": int(mat.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "entries": _pairs(mat.reshape(-1)),
     }
 
 
@@ -232,8 +232,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise SchemaError(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
-        flat = np.array([complex(re, im) for re, im in entries])
-        return as_complex_matrix(flat.reshape(rows, cols))
+        return as_complex_matrix(_complex_from_pairs(entries).reshape(rows, cols))
     if "triplets" in obj:
         mat = np.zeros((rows, cols), dtype=complex)
         for i, j, re, im in obj["triplets"]:
@@ -246,12 +245,26 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_to_json(vector) -> list:
-    vec = as_complex_vector(vector)
-    return [[float(z.real), float(z.imag)] for z in vec]
+    return _pairs(as_complex_vector(vector))
 
 
 def vector_from_json(obj) -> np.ndarray:
     try:
-        return as_complex_vector([complex(re, im) for re, im in obj])
+        return as_complex_vector(_complex_from_pairs(obj))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("vector must be a list of [re, im] pairs") from exc
+
+
+def _pairs(flat: np.ndarray) -> list:
+    """``[[re, im], ...]`` of a 1-D complex array, as Python floats."""
+    return np.ascontiguousarray(flat).view(np.float64).reshape(-1, 2).tolist()
+
+
+def _complex_from_pairs(pairs) -> np.ndarray:
+    """The 1-D complex array of a list of [re, im] pairs.
+
+    Raises TypeError, ValueError or OverflowError unless every item unpacks
+    into two real numbers.  ``complex(re, im)`` keeps the sign of a zero
+    imaginary part, which ``re + 1j * im`` would not.
+    """
+    return np.array([complex(re, im) for re, im in pairs])

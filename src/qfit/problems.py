@@ -16,9 +16,11 @@ simulator-side result in this package is checked against it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -361,9 +363,115 @@ def problem_from_json(obj: dict) -> FitProblem:
     return problem
 
 
+# --- artifact text -----------------------------------------------------------
+#
+# With an indent, json.dumps encodes in pure Python, a call per value.  Its
+# output is rendered here instead, byte for byte, and the [re, im] pair lists
+# that make up most of a problem file go through one %r template at C speed.
+
+_INDENT = "  "
+
+
 def artifact_text(obj: dict) -> str:
-    """The one text form of every JSON artifact qfit writes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one text form of every JSON artifact qfit writes.
+
+    It is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` byte for byte,
+    and raises the same TypeError wherever that does.
+    """
+    chunks: list[str] = []
+    _render(obj, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON text to ``out``; ``newline`` ends its line."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + _INDENT
+        pairs = _pair_list_text(value, inner)
+        if pairs is not None:
+            out += ("[", inner, pairs, newline, "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _render(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + _INDENT
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator)
+            separator = "," + inner
+            out.append(encode_basestring_ascii(_key_text(key)))
+            out.append(": ")
+            _render(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _pair_list_text(items, newline: str) -> str | None:
+    """The JSON items of a list of finite float [re, im] pairs, joined by
+    ``"," + newline``; None for any other list, which takes the general path.
+
+    Only exact floats qualify: ``%r`` of a float subclass such as
+    ``np.float64`` is not ``float.__repr__``.
+    """
+    if not ({list, tuple}.issuperset(map(type, items)) and {2}.issuperset(map(len, items))):
+        return None
+    flat = tuple(itertools.chain.from_iterable(items))
+    # A sum is finite only if every term is, so NaN and infinities fall through.
+    if not ({float}.issuperset(map(type, flat)) and math.isfinite(sum(flat))):
+        return None
+    entry = newline + _INDENT
+    pair = f"[{entry}%r,{entry}%r{newline}]"
+    return ("," + newline).join([pair] * len(items)) % flat
 
 
 def save_problem(problem: FitProblem, path) -> None:

@@ -3,7 +3,9 @@
 Each example starts from a valid problem dict and damages it the ways a
 hand-edited or cut-off file can be damaged: a key dropped, a value
 swapped for JSON of another type, a list truncated, a scale made zero,
-negative or non-finite.  ``problem_from_json`` must then either return a
+negative or non-finite, one element of an [re, im] pair replaced by a
+bool, a string, null, a nested list, an integer too large for a float or
+NaN.  ``problem_from_json`` must then either return a
 problem whose row count matches its y vector, or raise a QfitError.
 These are hypothesis property tests; the module is skipped where
 hypothesis is not installed.
@@ -41,6 +43,7 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 BAD_SCALES = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+PAIR_ELEMENTS = st.sampled_from([True, False, "1", None, [1.0, 0.0], 10**400, math.nan])
 
 
 def _paths(node, prefix=()):
@@ -59,7 +62,18 @@ def _paths(node, prefix=()):
 def _damage(obj, data):
     """Apply one drawn damage to ``obj`` in place."""
     paths = list(_paths(obj))
-    kind = data.draw(st.sampled_from(["drop", "swap", "truncate", "scale"]))
+    kind = data.draw(st.sampled_from(["drop", "swap", "truncate", "scale", "element"]))
+    if kind == "element":
+        # An [re, im] pair is a two-element list inside a list.
+        paths = [
+            p for p in paths
+            if isinstance(_get(obj, p[:-1]), list)
+            and isinstance(_get(obj, p), list) and len(_get(obj, p)) == 2
+        ]
+        if paths:
+            pair = _get(obj, data.draw(st.sampled_from(paths)))
+            pair[data.draw(st.integers(0, 1))] = data.draw(PAIR_ELEMENTS)
+        return
     if kind == "scale":
         scales = obj.get("normScale")
         if isinstance(scales, list) and scales:

@@ -274,6 +274,39 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             problem_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["dataSet.x", "designMatrix"])
+    @pytest.mark.parametrize(
+        "element, error",
+        [
+            (True, None),
+            (False, None),
+            (3, None),
+            ("1", SchemaError),
+            (None, SchemaError),
+            ([1.0, 0.0], SchemaError),
+            (10**400, SchemaError),
+            (float("nan"), DimensionError),
+            (float("inf"), DimensionError),
+        ],
+    )
+    def test_pair_element_outcomes(self, field, element, error):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
+        pairs = obj["dataSet"]["x"] if field == "dataSet.x" else obj["designMatrix"]["entries"]
+        pairs[1][0] = element
+        if error is not None:
+            with pytest.raises(error):
+                problem_from_json(obj)
+            return
+        loaded = problem_from_json(obj)
+        read = loaded.data_set.x[1] if field == "dataSet.x" else loaded.design_matrix[0, 1]
+        assert read == complex(element, pairs[1][1])
+
+    def test_empty_pair_list(self):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
+        obj["dataSet"]["x"] = []
+        with pytest.raises(DimensionError):
+            problem_from_json(obj)
+
     def test_byte_determinism(self, tmp_path):
         spec = ProblemSpec(n=8, m=4, kind="poly")
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
