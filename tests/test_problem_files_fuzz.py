@@ -5,8 +5,8 @@ hand-edited or cut-off file can be damaged: a key dropped, a value
 swapped for JSON of another type, a list truncated, a scale made zero,
 negative or non-finite, one element of an [re, im] pair replaced by a
 bool, a string, null, a nested list, an integer too large for a float or
-NaN.  ``problem_from_json`` must then either return a
-problem whose row count matches its y vector, or raise a QfitError.
+NaN.  ``problem_from_json`` must then either return a problem whose row
+count matches its y vector, or raise a QfitError.
 These are hypothesis property tests; the module is skipped where
 hypothesis is not installed.
 """
