@@ -54,14 +54,14 @@ def main() -> int:
         return out
 
     def apply_hermitian_via_pe(*args, **kwargs):
-        fresh, info = apply_pass(*args, **kwargs)
+        vector, info = apply_pass(*args, **kwargs)
         branch = current.pop("branch", None)
         if branch is not None:
             ref_flag = _fsum_sq(branch)
             rows.append((current["name"], current["pass"], info.flag_probability, ref_flag,
                          info.clock_zero_probability, _fsum_sq(branch[0]) / ref_flag))
         current["pass"] += 1
-        return fresh, info
+        return vector, info
 
     qfit.sim.uncompute_clock = uncompute_clock
     qfit.algorithms.apply_hermitian_via_pe = apply_hermitian_via_pe

@@ -53,7 +53,6 @@ from .sim import (
     WINDOW_UNIFORM,
     PhaseEstimationConfig,
     PhaseEstimationPass,
-    QuantumState,
     RegisterLayout,
     SwapTestPlan,
     SwapTestResult,
@@ -61,9 +60,9 @@ from .sim import (
     data_state_vector,
     default_rotation_scale,
     exact_overlap_sq,
-    extract_system_vector,
+    extract_system_vector,  # noqa: F401  looked up by perfbench's PATCH_TABLE (ROADMAP item 1)
     measure_computational,
-    prepare_data_state,
+    state_from_system_vector,
     swap_test,
 )
 
@@ -106,9 +105,8 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class PreparationResult:
-    """Output of the parameter-preparation pipeline plus diagnostics."""
+    """The unit system vector the last preparation pass returned, plus diagnostics."""
 
-    state: QuantumState
     system_vector: np.ndarray
     passes: tuple[PhaseEstimationPass, ...]
     fidelity_vs_oracle: float
@@ -164,6 +162,12 @@ def _embedded_lambda_direction(problem: FitProblem, lam: np.ndarray) -> np.ndarr
     return vec / norm
 
 
+def _run_pass(vector: np.ndarray, eig: EigDecomposition, config: PhaseEstimationConfig):
+    """One pass on ``vector``, handed over as a temporary state the pass frees."""
+    layout = RegisterLayout(clock_size=config.clock_size, system_dim=vector.size)
+    return apply_hermitian_via_pe(state_from_system_vector(vector, layout), eig, config)
+
+
 def prepare_fit_parameters(
     problem: FitProblem,
     spec: PipelineSpec,
@@ -178,20 +182,15 @@ def prepare_fit_parameters(
     """
     if eig is None:
         eig = eig_hermitian(embed(problem.design_matrix) if op is None else op)
-    layout = RegisterLayout(
-        clock_size=spec.stages[0].clock_size, system_dim=problem.m + problem.n
-    )
-    state = prepare_data_state(problem, layout)
+    out_vec = data_state_vector(problem)
     passes: list[PhaseEstimationPass] = []
     for config in spec.stages:
-        state, info = apply_hermitian_via_pe(state, eig, config)
+        out_vec, info = _run_pass(out_vec, eig, config)
         passes.append(info)
-    out_vec = extract_system_vector(state)
     solution = classical_fit(problem)
     target = _embedded_lambda_direction(problem, solution.lambda_)
     fidelity = float(abs(np.vdot(target, out_vec)) ** 2)
     return PreparationResult(
-        state=state,
         system_vector=out_vec,
         passes=tuple(passes),
         fidelity_vs_oracle=fidelity,
@@ -305,8 +304,7 @@ def _report_fit_quality(
             mode=MODE_MULTIPLY,
             rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
         )
-        fitted_state, project_info = apply_hermitian_via_pe(prep.state, eig, project_config)
-        fitted_vec = extract_system_vector(fitted_state)
+        fitted_vec, project_info = _run_pass(prep.system_vector, eig, project_config)
         passes = prep.passes + (project_info,)
         lambda_fidelity = prep.fidelity_vs_oracle
 

@@ -35,15 +35,19 @@ Conventions
 
 Eigenbasis
 ----------
-Between passes the system register is in the basis above.  Inside a
-pass it is held in H's eigenbasis: every stage but the two evolutions
-acts only on the clock and the flag, so the whole pass commutes with the
-change of basis.  ``apply_hermitian_via_pe`` maps its input vector into
-the eigenbasis once (V^dag psi, one D x D product), runs every stage on
+Between passes only the system register carries information, in the
+basis above, so a pass returns the unit system vector.  It takes a state
+only for perfbench's pass hook and releases it once it has read psi and
+the layout: from CPython 3.11, which moves a call's arguments into the
+callee, a temporary input state dies before the pass allocates.  Inside
+a pass the system register is held in H's eigenbasis: every stage but
+the two evolutions acts only on the clock and the flag, so the whole
+pass commutes with the change of basis.  The pass maps psi into the
+eigenbasis once (V^dag psi, one D x D product), runs every stage on
 those coordinates and maps the surviving clock-0, flag-1 row back once
-(V times that row).  There the evolutions are diagonal phase products,
-not BLAS basis changes; ``conditional_evolution`` and
-``uncompute_clock`` take their state's system register in that basis.
+(V times that row).  There the evolutions are diagonal phase products;
+``conditional_evolution`` and ``uncompute_clock`` take their state's
+system register in that basis.
 
 Memory order
 ------------
@@ -85,10 +89,10 @@ a single entry keyed on the spectrum is hit only by passes over the same
 operator.
 
 Every operation is pure: states are treated as immutable and new arrays
-are returned.  Only postselection is non-unitary;
-it reports the exact branch probability instead of sampling.  Physical
-sampling happens only where statistics are the point: the swap test and
-computational-basis measurement.
+are returned.  Only postselection is non-unitary; it reports the exact
+branch probability instead of sampling.  Physical sampling happens only
+where statistics are the point: the swap test and computational-basis
+measurement.
 """
 
 from __future__ import annotations
@@ -585,28 +589,28 @@ def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> Qua
 
 def apply_hermitian_via_pe(
     state: QuantumState, eig: EigDecomposition, config: PhaseEstimationConfig
-) -> tuple[QuantumState, PhaseEstimationPass]:
+) -> tuple[np.ndarray, PhaseEstimationPass]:
     """One full eigenvalue-arithmetic pass of H, given as its eigensystem ``eig``.
 
-    The pass runs on a clock-and-flag-fresh state.  The system vector goes
-    into H's eigenbasis, then: window preparation, conditional evolution,
-    clock QFT, flag rotation, uncomputation, and postselection of flag = 1
-    followed by clock = |0>.  Only the kept branch is built: the window
-    state is written directly, the rotation's flag-1 output alone, and both
-    postselections read the flag-1 slice in place.  The surviving system
-    row comes back out of the eigenbasis.  The result is a fresh state
-    (clock |0>, flag |0>) whose system register approximates
-    f(H)|psi> / ||f(H)|psi>|| with f set by the mode, together with exact
-    pass diagnostics.
+    The pass reads psi and the layout from its clock-and-flag-fresh input
+    state and releases it.  psi goes into H's eigenbasis, then: window
+    preparation, conditional evolution, clock QFT, flag rotation,
+    uncomputation, and postselection of flag = 1 followed by clock = |0>.
+    Only the kept branch is built: the window state is written directly, the
+    rotation's flag-1 output alone, and both postselections read the flag-1
+    slice in place.  The surviving system row comes back out of the
+    eigenbasis as the returned unit vector, approximating
+    f(H)|psi>/||f(H)|psi>|| (f set by the mode), with exact pass diagnostics.
     """
     validate_config(config, eig.eigenvalues)
-    psi_in = extract_system_vector(state)
+    psi_in, layout = extract_system_vector(state), state.layout
+    del state
     vecs = eig.eigenvectors
 
     # Each stage rebinds ``s``: a full-size array still referenced after
     # the stage that consumes it would add a whole state to the peak.
     window = _pass_constants(eig.eigenvalues, config)[2]
-    s = _windowed_state(vecs.conj().T @ psi_in, window, state.layout)
+    s = _windowed_state(vecs.conj().T @ psi_in, window, layout)
     s = conditional_evolution(s, eig, config)
     s = qft_clock(s, "forward")
     s = _rotated_flag_one(s, config)
@@ -620,7 +624,6 @@ def apply_hermitian_via_pe(
     clock_prob = float(np.vdot(row, row).real)
     if not clock_prob > 1e-300:
         raise PostselectionError("clock |0> branch has zero probability")
-    del s, branch
 
     out_vec = vecs @ (row / np.sqrt(clock_prob))
     exact = apply_matrix_function(eig, _mode_function(config.mode), psi_in)
@@ -630,13 +633,12 @@ def apply_hermitian_via_pe(
     else:  # input entirely in the kernel; any output direction is leakage
         distance = float("nan")
 
-    fresh = state_from_system_vector(out_vec, state.layout)
     info = PhaseEstimationPass(
         flag_probability=flag_prob,
         clock_zero_probability=clock_prob,
         oracle_distance=distance,
     )
-    return fresh, info
+    return out_vec / np.linalg.norm(out_vec), info
 
 
 # --- sampling-based measurements ------------------------------------------------

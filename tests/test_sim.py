@@ -21,7 +21,6 @@ from qfit.sim import (
     data_state_vector,
     decode_eigenvalue,
     exact_overlap_sq,
-    extract_system_vector,
     measure_computational,
     phase_distance,
     postselect_clock_zero,
@@ -390,9 +389,7 @@ class TestFullPass:
         layout = RegisterLayout(clock_size=8, system_dim=2)
         state = prepare_data_state(prob, layout)
         out, info = apply_hermitian_via_pe(state, eig_hermitian(PAULI_X), config(C=0.5))
-        np.testing.assert_allclose(
-            np.abs(extract_system_vector(out)), [1.0, 0.0], atol=1e-10
-        )
+        np.testing.assert_allclose(np.abs(out), [1.0, 0.0], atol=1e-10)
         assert info.flag_probability == pytest.approx(0.25, abs=1e-10)
         assert info.clock_zero_probability == pytest.approx(1.0, abs=1e-12)
         assert info.oracle_distance <= 1e-10
@@ -403,9 +400,7 @@ class TestFullPass:
         out, info = apply_hermitian_via_pe(
             state, eig_hermitian(PAULI_X), config(C=1.0, mode=MODE_INVERT)
         )
-        np.testing.assert_allclose(
-            np.abs(extract_system_vector(out)), [0.0, 1.0], atol=1e-10
-        )
+        np.testing.assert_allclose(np.abs(out), [0.0, 1.0], atol=1e-10)
         assert info.flag_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_eigenvector_passthrough(self, rng):
@@ -418,9 +413,7 @@ class TestFullPass:
         state = state_from_system_vector(eig.eigenvectors[:, idx], layout)
         cfg = config(T=64, t0=t0, C=0.7)
         out, info = apply_hermitian_via_pe(state, eig, cfg)
-        assert exact_overlap_sq(
-            extract_system_vector(out), eig.eigenvectors[:, idx]
-        ) == pytest.approx(1.0, abs=1e-10)
+        assert exact_overlap_sq(out, eig.eigenvectors[:, idx]) == pytest.approx(1.0, abs=1e-10)
         assert info.flag_probability == pytest.approx((0.7 * energy) ** 2, abs=1e-10)
 
     def test_kernel_input_has_no_flag_branch_to_invert(self):
