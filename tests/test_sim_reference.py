@@ -21,8 +21,9 @@ input state as it was; a long-clock pass must hold no full-size array it
 has finished with, and a long-clock run no state between its passes.
 The memoized pass constants must give every phase table and window bit
 for bit as a build without the memo, in any order of queries, stay
-read-only, and be built once per distinct operator of a run.  Most are hypothesis property tests; the module is skipped where
-hypothesis is not installed.
+read-only, and be built once per distinct operator of a run.  Most are
+hypothesis property tests; the module is skipped where hypothesis is not
+installed.
 """
 
 import math
@@ -733,8 +734,7 @@ def test_passes_hand_on_vectors_and_hold_no_dead_state():
     # A long-clock run holds only system vectors between its passes, and
     # each pass frees the input state built for it before its stages
     # allocate, so the run peaks where one pass does, at about 3.5 states.
-    # A state kept alive through a pass, as a caller holding the previous
-    # pass's output state did, adds a whole one.
+    # Any state a caller keeps alive through a pass adds a whole one.
     state_bytes = LONG_CLOCK * LONG_DIM * 2 * np.dtype(complex).itemsize
     for variant in (VARIANT_FUSED, VARIANT_THREE_STAGE):
         problem, run_settings = _long_clock_run(variant)
