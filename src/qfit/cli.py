@@ -48,6 +48,7 @@ from .problems import (
     load_problem,
     problem_to_json,
     save_problem,
+    write_text_atomic,
 )
 from .seeding import STREAM_SWAP, derive_seed
 from .sim import DEFAULT_AMPLITUDE_CAP, WINDOW_SINE, WINDOW_UNIFORM, SwapTestPlan
@@ -66,8 +67,7 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text_atomic(out, text)
 
 
 def _write_json(obj: dict, out: str | None) -> None:
@@ -98,7 +98,10 @@ def _keep_freed_memory() -> None:
     Blocks below 32 MiB come from the heap instead of a fresh mmap, and the
     heap keeps up to the largest simulator state (64 MiB) free at its top
     instead of trimming it, so a pass's freed arrays cause no new page
-    faults.  This is process-wide: it stays in force for the rest of the
+    faults.  One arena serves every thread, so the temporaries numpy's FFT
+    allocates on a worker thread of a split pass (``sim._by_rows``) reuse
+    that heap too, instead of each worker thread growing an arena of its
+    own.  This is process-wide: it stays in force for the rest of the
     process, also when ``main`` runs in-process.  Where the C library has
     no ``mallopt`` (macOS, Windows) this does nothing.
     """
@@ -112,6 +115,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the largest glibc takes on 64-bit
     mallopt(-2, DEFAULT_AMPLITUDE_CAP * 16)  # M_TOP_PAD: the largest state's bytes
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 class _ErrorBoundary(click.Group):
