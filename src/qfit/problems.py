@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -474,9 +475,35 @@ def _pair_list_text(items, newline: str) -> str | None:
     return ("," + newline).join([pair] * len(items)) % flat
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` as one step.
+
+    The text goes to a temporary file beside the target, which is renamed
+    over it once fully written, so a write that fails leaves the old file
+    as it was and removes the temporary file.  A symbolic link is written
+    through, to the file it names.  A target that exists but is not a
+    regular file (a device such as /dev/null, or a pipe) is written in
+    place, since renaming would replace it.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w") as fh:
+            fh.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.lexists(temporary):
+            os.unlink(temporary)
+        raise
+
+
 def save_problem(problem: FitProblem, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(artifact_text(problem_to_json(problem)))
+    write_text_atomic(path, artifact_text(problem_to_json(problem)))
 
 
 def load_problem(path) -> FitProblem:
