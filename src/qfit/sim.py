@@ -174,8 +174,12 @@ def _cpu_count() -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_pool():
-    """The worker threads of ``_by_rows``, started on first use."""
+def _row_pool(pid: int):
+    """The worker threads of ``_by_rows`` in process ``pid``, started on first use.
+
+    A child forked after the pool started has none of its threads, so it
+    gets a pool of its own.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(thread_name_prefix="qfit-rows")
@@ -195,7 +199,8 @@ def _by_rows(fn, rows: int, cols: int) -> None:
         fn(slice(None))
         return
     edges = [rows * i // blocks for i in range(blocks + 1)]
-    futures = [_row_pool().submit(fn, slice(a, b)) for a, b in zip(edges[1:-1], edges[2:])]
+    pool = _row_pool(os.getpid())
+    futures = [pool.submit(fn, slice(a, b)) for a, b in zip(edges[1:-1], edges[2:])]
     try:
         fn(slice(0, edges[1]))
     finally:
