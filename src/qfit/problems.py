@@ -485,7 +485,8 @@ def write_text_atomic(path, text: str) -> None:
     regular file (a device such as /dev/null, or a pipe) is written in
     place, since renaming would replace it.
     """
-    path = os.path.realpath(path)
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.write(text)
