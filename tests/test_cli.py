@@ -421,6 +421,17 @@ class TestErrorBoundary:
                                          "message": "Unable to allocate 149. GiB"}
 
 
+def test_failed_output_write_keeps_the_old_file(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    # A lone surrogate cannot be encoded, so the write fails once the
+    # temporary file exists.
+    with pytest.raises(UnicodeEncodeError):
+        qfit.cli._write_text("x" * 100_000 + "\ud800", str(out))
+    assert out.read_bytes() == b"old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")

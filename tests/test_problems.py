@@ -1,6 +1,7 @@
 """Fit-problem construction, normalization, oracle, and generation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -313,6 +314,31 @@ class TestProblemFiles:
         save_problem(generate_problem(spec, seed=42), p1)
         save_problem(generate_problem(spec, seed=42), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "problem.json"
+        save_problem(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1), path)
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            assert os.path.getsize(src) > len(old)  # the new text was written in full
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_problem(generate_problem(ProblemSpec(n=8, m=2, kind="poly"), seed=1), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["problem.json"]
+
+    def test_save_through_a_symbolic_link_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        prob = generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1)
+        save_problem(prob, link)
+        assert link.is_symlink()
+        np.testing.assert_array_equal(load_problem(target).design_matrix, prob.design_matrix)
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
 
 class TestRestrictColumns:
