@@ -98,10 +98,9 @@ def _keep_freed_memory() -> None:
     Blocks below 32 MiB come from the heap instead of a fresh mmap, and the
     heap keeps up to the largest simulator state (64 MiB) free at its top
     instead of trimming it, so a pass's freed arrays cause no new page
-    faults.  One arena serves every thread, so the temporaries numpy's FFT
-    allocates on a worker thread of a split pass (``sim._by_rows``) reuse
-    that heap too, instead of each worker thread growing an arena of its
-    own.  This is process-wide: it stays in force for the rest of the
+    faults.  One arena serves every thread, so the worker threads of a
+    split pass (``sim._by_rows``) reuse that heap instead of growing arenas
+    of their own.  This is process-wide: it stays in force for the rest of the
     process, also when ``main`` runs in-process.  Where the C library has
     no ``mallopt`` (macOS, Windows) this does nothing.
     """

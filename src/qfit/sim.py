@@ -90,24 +90,15 @@ operator.
 
 Threads
 -------
-Every stage of a pass acts on each system row of a flag slice, one whole
-clock row, on its own.  So ``_by_rows`` splits the D rows of a live
-slice into contiguous blocks, one per CPU this process may run on, for
-the five row-wise writes of a pass: the window state, the evolution's
-phase product, the QFT, the rotation's flag-1 output and the
-reflection's rank-one update.  The calling thread runs the first block
-and a pool of threads the others; numpy releases the interpreter lock
-inside these loops.  Each block computes exactly what the unsplit call
-computes for its rows, into an array the calling thread allocated, and
-every reduction (the reflection's overlap product, the probability sums,
-``extract_system_vector``, ``_live_flags``) and the phase table stay on
-the calling thread.  So no bit of any result depends on the number of
-CPUs.  A slice is split only into blocks of at least 2**17 amplitudes
-(2 MiB).  On a 2-CPU host two threads took an 8 x 65536 inverse QFT from
-9.8 to 5.1 ms (medians of 40), but a whole pass at D = 64, T = 1024
-(2**16 amplitudes) was no faster split: 5.8-6.0 ms on one thread,
-5.9-6.4 ms on two.  Below that size every stage runs on the calling
-thread alone.
+Every stage acts on each system row of a flag slice on its own, so
+``_by_rows`` splits the D rows of a live slice into one block per CPU
+for the five row-wise writes of a pass (window state, phase product,
+QFT, rotated flag 1, rank-one update).  A block computes exactly what
+the unsplit call computes for its rows, and the phase table and every
+sum stay on the calling thread, so no bit depends on the CPU count.
+Blocks hold at least 2**17 amplitudes: on a 2-CPU host two threads took
+an 8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass at D = 64,
+T = 1024 was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
 
 Every operation is pure: states are treated as immutable and new arrays
 are returned.  Only postselection is non-unitary; it reports the exact
@@ -148,8 +139,7 @@ _C_BOUND_SLACK = 1e-9
 # 2*pi to long-double precision, for reducing phase-table arguments.
 _TWO_PI = 2 * np.arccos(np.longdouble(-1))
 
-# Fewest amplitudes (2 MiB) per row block worth a thread; see "Threads".
-_MIN_BLOCK = 1 << 17
+_MIN_BLOCK = 1 << 17  # fewest amplitudes (2 MiB) per row block; see "Threads"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -175,24 +165,18 @@ def _cpu_count() -> int:
 
 @functools.lru_cache(maxsize=1)
 def _row_pool(pid: int):
-    """The worker threads of ``_by_rows`` in process ``pid``, started on first use.
-
-    A child forked after the pool started has none of its threads, so it
-    gets a pool of its own.
-    """
+    """Threads of ``_by_rows``, one pool per process: a forked child has none of ours."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(thread_name_prefix="qfit-rows")
 
 
 def _by_rows(fn, rows: int, cols: int) -> None:
-    """Call ``fn(block)`` on contiguous row blocks that cover a (rows, cols) slice.
+    """Call ``fn(block)`` on row blocks covering a (rows, cols) slice, one per CPU.
 
-    One block per CPU, each of at least ``_MIN_BLOCK`` amplitudes; where
-    that leaves one block, ``fn(slice(None))`` runs alone on the calling
-    thread.  Otherwise the calling thread runs the first block and the
-    pool the others.  Every block finishes before this returns, and the
-    first exception, in block order, is re-raised.
+    Blocks hold at least ``_MIN_BLOCK`` amplitudes; with one block, only
+    ``fn(slice(None))`` runs.  The caller runs the first block and the pool
+    the rest; all finish, and the first exception in block order is raised.
     """
     blocks = min(_cpu_count(), rows // -(-_MIN_BLOCK // cols))
     if blocks < 2:
@@ -390,12 +374,8 @@ def reflect_clock_window(state: QuantumState, window: np.ndarray) -> QuantumStat
     new_amp = np.zeros(amp_t.shape, dtype=complex)
     for f in _live_flags(amp_t):
         overlap = amp_t[f] @ v.conj()  # shape (D,)
-
-        def update(r):
-            np.multiply(overlap[r, None], scaled, out=new_amp[f, r])
-            new_amp[f, r] += amp_t[f, r]
-
-        _by_rows(update, *amp_t.shape[1:])
+        _by_rows(lambda r: np.add(np.multiply(overlap[r, None], scaled, out=new_amp[f, r]),
+                                  amp_t[f, r], out=new_amp[f, r]), *amp_t.shape[1:])
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
@@ -497,11 +477,8 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
     amp_t = state.amplitudes.T
     new_amp = np.zeros(amp_t.shape, dtype=complex)
     for f in _live_flags(amp_t):
-
-        def block(r):  # np.fft takes ``out`` only from numpy 2
-            new_amp[f, r] = transform(amp_t[f, r], axis=-1, norm="ortho")
-
-        _by_rows(block, *amp_t.shape[1:])
+        _by_rows(lambda r: np.copyto(new_amp[f, r], transform(amp_t[f, r], norm="ortho")),
+                 *amp_t.shape[1:])
     return QuantumState(layout=state.layout, amplitudes=new_amp.T)
 
 
