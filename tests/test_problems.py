@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qfit.problems import (
     problem_to_json,
     restrict_columns,
     save_problem,
+    write_text_atomic,
 )
 
 from conftest import random_complex_matrix, random_complex_vector
@@ -339,6 +341,19 @@ class TestProblemFiles:
         assert link.is_symlink()
         np.testing.assert_array_equal(load_problem(target).design_matrix, prob.design_matrix)
         assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_write_to_a_named_pipe_goes_through_the_pipe(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_text_atomic(pipe, "report\n")
+            assert os.read(reader, 100) == b"report\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestRestrictColumns:
