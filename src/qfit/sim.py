@@ -178,7 +178,10 @@ def _by_rows(fn, rows: int, cols: int) -> None:
     ``fn(slice(None))`` runs.  The caller runs the first block and the pool
     the rest; all finish, and the first exception in block order is raised.
     """
-    blocks = min(_cpu_count(), rows // -(-_MIN_BLOCK // cols))
+    if rows * cols < 2 * _MIN_BLOCK:  # too small to split: no CPU count needed
+        blocks = 1
+    else:
+        blocks = min(_cpu_count(), rows // -(-_MIN_BLOCK // cols))
     if blocks < 2:
         fn(slice(None))
         return
