@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -475,28 +476,57 @@ def _pair_list_text(items, newline: str) -> str | None:
     return ("," + newline).join([pair] * len(items)) % flat
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to the file ``path`` as one step.
+def _replaceable_name(path) -> str | None:
+    """The real name of the file ``path`` reaches, if renaming a new file
+    over that name replaces what ``path`` reaches; None otherwise.
 
-    The text goes to a temporary file beside the target, which is renamed
-    over it once fully written, so a write that fails leaves the old file
-    as it was and removes the temporary file.  A symbolic link is written
-    through, to the file it names.  A target that exists but is not a
-    regular file (a device such as /dev/null, or a pipe) is written in
-    place, since renaming would replace it.
+    That takes an existing regular file with one name, which this process
+    may write, in a directory it may write, reached through no link that
+    leads through /proc, as ``/dev/stdout`` and ``/dev/fd/N`` do: such a
+    path names an open file, not a directory entry.
     """
-    if os.path.islink(path):
-        path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    if not os.path.isfile(path):
+        return None
+    path = os.path.abspath(path)
+    for _ in range(40):  # the most links a path lookup follows
+        directory = os.path.realpath(os.path.dirname(path))
+        if directory.startswith("/proc/"):
+            return None
+        path = os.path.join(directory, os.path.basename(path))
+        if not os.path.islink(path):
+            break
+        path = os.path.join(directory, os.readlink(path))
+    else:
+        return None
+    if os.stat(path).st_nlink > 1 or not (os.access(path, os.W_OK)
+                                          and os.access(directory, os.W_OK)):
+        return None
+    return path
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, as one step where a rename can.
+
+    An existing regular file, reached directly or through symbolic links, is
+    replaced whole: the text goes to a temporary file beside it, which takes
+    the old file's permission bits and is renamed over it once fully
+    written, so a write that fails leaves the old file as it was and removes
+    the temporary file.  Every other target is written in place: a new file,
+    a device or a pipe has no old contents to keep, and a rename could not
+    keep the rest (see ``_replaceable_name``).
+    """
+    real = _replaceable_name(path)
+    if real is None:
         with open(path, "w") as fh:
             fh.write(text)
         return
-    head, tail = os.path.split(path)
+    head, tail = os.path.split(real)
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w") as fh:
             fh.write(text)
-        os.replace(temporary, path)
+        os.chmod(temporary, stat.S_IMODE(os.stat(real).st_mode))
+        os.replace(temporary, real)
     except BaseException:
         if os.path.lexists(temporary):
             os.unlink(temporary)

@@ -355,6 +355,50 @@ class TestProblemFiles:
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_write_to_a_descriptor_path_goes_through_the_descriptor(self, tmp_path):
+        reader, writer = os.pipe()
+        try:
+            write_text_atomic(f"/dev/fd/{writer}", "report\n")
+            assert os.read(reader, 100) == b"report\n"
+        finally:
+            os.close(reader)
+            os.close(writer)
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        inode = os.stat(path).st_ino
+        with open(path, "r+") as fh:  # as a shell's "> report.json" for /dev/stdout
+            write_text_atomic(f"/dev/fd/{fh.fileno()}", "new\n")
+        assert os.stat(path).st_ino == inode
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text("old\n")
+        os.chmod(path, 0o600)
+        save_problem(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def test_file_with_another_hard_link_is_written_in_place(self, tmp_path):
+        path, other = tmp_path / "problem.json", tmp_path / "other.json"
+        path.write_text("old\n")
+        os.link(path, other)
+        prob = generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1)
+        save_problem(prob, path)
+        assert other.read_bytes() == path.read_bytes()
+        np.testing.assert_array_equal(load_problem(other).design_matrix, prob.design_matrix)
+
+    def test_file_in_a_directory_not_writable_is_written_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "problem.json"
+        path.write_text("old\n")
+        inode = os.stat(path).st_ino
+        monkeypatch.setattr(os, "access", lambda p, mode: not os.path.isdir(p))
+        save_problem(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1), path)
+        assert os.stat(path).st_ino == inode
+        assert os.listdir(tmp_path) == ["problem.json"]
+
 
 class TestRestrictColumns:
     def test_reduces_and_renormalizes(self, rng):
