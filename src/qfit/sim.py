@@ -178,11 +178,8 @@ def _by_rows(fn, rows: int, cols: int) -> None:
     ``fn(slice(None))`` runs.  The caller runs the first block and the pool
     the rest; all finish, and the first exception in block order is raised.
     """
-    if rows * cols < 2 * _MIN_BLOCK:  # too small to split: no CPU count needed
-        blocks = 1
-    else:
-        blocks = min(_cpu_count(), rows // -(-_MIN_BLOCK // cols))
-    if blocks < 2:
+    most = rows // -(-_MIN_BLOCK // cols)  # blocks that hold _MIN_BLOCK; no CPU count below 2
+    if most < 2 or (blocks := min(_cpu_count(), most)) < 2:
         fn(slice(None))
         return
     edges = [rows * i // blocks for i in range(blocks + 1)]

@@ -81,7 +81,10 @@ def test_pass_is_bit_identical_at_any_block_count(monkeypatch, rng, mode, window
 
 
 def test_small_slices_run_whole_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+    def no_count():
+        raise AssertionError("a slice too small to split asked for the CPU count")
+
+    monkeypatch.setattr(sim, "_cpu_count", no_count)
     calls = []
     # 64 x 1024 amplitudes: no block of 2**17 fits.
     sim._by_rows(lambda r: calls.append((r, threading.get_ident())), 64, 1024)
