@@ -477,27 +477,26 @@ def _pair_list_text(items, newline: str) -> str | None:
 
 
 def _replaceable_name(path) -> str | None:
-    """The real name of the file ``path`` reaches, if renaming a new file
-    over that name replaces what ``path`` reaches; None otherwise.
+    """The name of the file ``path`` reaches, if renaming a new file over
+    that name replaces what ``path`` reaches; None otherwise.
 
     That takes an existing regular file with one name, which this process
-    may write, in a directory it may write, reached through no link that
-    leads through /proc, as ``/dev/stdout`` and ``/dev/fd/N`` do: such a
-    path names an open file, not a directory entry.
+    may write, in a directory it may write, reached through no symbolic
+    link that lies under /proc, as the links behind ``/dev/stdout`` and
+    ``/dev/fd/N`` do: such a link names an open file, not a directory entry.
     """
     if not os.path.isfile(path):
         return None
-    path = os.path.abspath(path)
     for _ in range(40):  # the most links a path lookup follows
-        directory = os.path.realpath(os.path.dirname(path))
-        if directory.startswith("/proc/"):
-            return None
-        path = os.path.join(directory, os.path.basename(path))
         if not os.path.islink(path):
             break
+        directory = os.path.dirname(path) or os.curdir
+        if os.path.realpath(directory).startswith("/proc/"):
+            return None
         path = os.path.join(directory, os.readlink(path))
     else:
         return None
+    directory = os.path.dirname(path) or os.curdir
     if os.stat(path).st_nlink > 1 or not (os.access(path, os.W_OK)
                                           and os.access(directory, os.W_OK)):
         return None
