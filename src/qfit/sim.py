@@ -67,7 +67,20 @@ transforms the two flag slices ``amplitudes.T[0]`` and
 stays exactly zero: the reflection, the evolution and the QFT compute
 only the slices that hold a nonzero amplitude and write exact zeros into
 the other, and the rotation drops the terms of a zero flag-1 input.
-Skipping a zero slice changes no bit of the live one.  A pass builds
+Skipping a zero slice changes no bit of the live one.
+
+A state names its live slices in ``QuantumState.live_flags``, so no
+stage scans a slice to learn that it is zero.  Every state built here
+sets it: the input state and the window state hold flag 0, the rotated
+flag-1 output and the flag postselection flag 1, the rotation both; the
+reflection, the evolution, the QFT and the clock postselection pass on
+their input's.  A stage allocates its output uninitialized and zeroes
+only the slices that are not live.  Only a state built elsewhere, whose
+``live_flags`` is None, is scanned for them (``_live_flags``), and the
+scan finds the same slices, so no bit depends on it.
+``extract_system_vector`` sums a lone live slice instead of the state.
+
+A pass builds
 only the branch it keeps.  It starts flag-|0>, so it writes its first
 state as window (x) V^dag psi on flag 0, and its forward half runs on
 flag 0 alone.  It keeps only the flag-1 branch, and projecting onto it
@@ -155,6 +168,25 @@ def _live_flags(amp_t: np.ndarray) -> list[int]:
     return [f for f in range(amp_t.shape[0]) if amp_t[f, :, 0].any() or amp_t[f].any()]
 
 
+def _state_flags(state: QuantumState) -> tuple[int, ...]:
+    """The state's ``live_flags``; only where they are not known, ``_live_flags``."""
+    if state.live_flags is not None:
+        return state.live_flags
+    return tuple(_live_flags(state.amplitudes.T))
+
+
+def _flag_array(shape: tuple[int, ...], live: tuple[int, ...]) -> np.ndarray:
+    """A new (flag, system, clock) array, zero on the flags not in ``live``.
+
+    The slices of ``live`` are left unset for the caller to write.
+    """
+    amp_t = np.empty(shape, dtype=complex)
+    for f in range(shape[0]):
+        if f not in live:
+            amp_t[f] = 0
+    return amp_t
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -217,9 +249,18 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class QuantumState:
+    """A full-register state.
+
+    ``live_flags`` lists the flags whose slice ``amplitudes.T[f]`` may hold
+    a nonzero amplitude; every other slice is exactly zero.  ``None``
+    means not known, and a primitive then scans for the live slices (see
+    "Flag slices").
+    """
+
     layout: RegisterLayout
     # Shape (T, D, 2), clock axis contiguous.  Do not mutate.
     amplitudes: np.ndarray
+    live_flags: tuple[int, ...] | None = None
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -321,7 +362,7 @@ def state_from_system_vector(vector, layout: RegisterLayout) -> QuantumState:
         raise DimensionError("system vector length does not match layout")
     amp = np.zeros((layout.clock_size, v.size, 2), dtype=complex, order="F")
     amp[0, :, 0] = v
-    return QuantumState(layout=layout, amplitudes=amp)
+    return QuantumState(layout=layout, amplitudes=amp, live_flags=(0,))
 
 
 def data_state_vector(problem: FitProblem) -> np.ndarray:
@@ -367,16 +408,18 @@ def reflect_clock_window(state: QuantumState, window: np.ndarray) -> QuantumStat
     vnorm_sq = float(np.vdot(v, v).real)
     amp_t = state.amplitudes.T
     if vnorm_sq < 1e-30:  # window is |0> itself
-        return QuantumState(layout=state.layout, amplitudes=np.copy(amp_t, order="C").T)
+        return QuantumState(layout=state.layout, amplitudes=np.copy(amp_t, order="C").T,
+                            live_flags=state.live_flags)
     scaled = (-2.0 / vnorm_sq) * v
     # One state-sized allocation: per live flag, the rank-one term, then
     # the input added in place.
-    new_amp = np.zeros(amp_t.shape, dtype=complex)
-    for f in _live_flags(amp_t):
+    live = _state_flags(state)
+    new_amp = _flag_array(amp_t.shape, live)
+    for f in live:
         overlap = amp_t[f] @ v.conj()  # shape (D,)
         _by_rows(lambda r: np.add(np.multiply(overlap[r, None], scaled, out=new_amp[f, r]),
                                   amp_t[f, r], out=new_amp[f, r]), *amp_t.shape[1:])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T)
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
 
 
 # --- pipeline primitives -------------------------------------------------------
@@ -398,10 +441,11 @@ def conditional_evolution(
         raise DimensionError("operator dimension does not match system register")
     amp_t = state.amplitudes.T
     table = _phase_table(eig.eigenvalues, config, inverse)
-    new_amp = np.zeros(amp_t.shape, dtype=complex)
-    for f in _live_flags(amp_t):
+    live = _state_flags(state)
+    new_amp = _flag_array(amp_t.shape, live)
+    for f in live:
         _by_rows(lambda r: np.multiply(amp_t[f, r], table[r], out=new_amp[f, r]), *table.shape)
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T)
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
 
 
 def _phase_table(eigenvalues, config: PhaseEstimationConfig, inverse: bool) -> np.ndarray:
@@ -475,11 +519,12 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
     else:
         raise ConfigError(f"unknown QFT direction {direction!r}")
     amp_t = state.amplitudes.T
-    new_amp = np.zeros(amp_t.shape, dtype=complex)
-    for f in _live_flags(amp_t):
+    live = _state_flags(state)
+    new_amp = _flag_array(amp_t.shape, live)
+    for f in live:
         _by_rows(lambda r: np.copyto(new_amp[f, r], transform(amp_t[f, r], norm="ortho")),
                  *amp_t.shape[1:])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T)
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
 
 
 def decode_eigenvalue(k, clock_size: int, t0: float):
@@ -521,7 +566,8 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
 
     Maps |0> -> c|0> + w|1> and |1> -> -w|0> + c|1> with c = sqrt(1-w^2),
     so the operation is unitary regardless of the incoming flag state.
-    The result always holds a fresh array that no other state shares.
+    The result always holds a fresh array that no other state shares, and
+    both its flags may be live.
     """
     w = rotation_weights(config)
     c = np.sqrt(1.0 - w**2)
@@ -531,11 +577,11 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
     # with one half-state buffer for them.
     np.multiply(c, amp_t[0], out=new_amp[0])
     np.multiply(w, amp_t[0], out=new_amp[1])
-    if 1 in _live_flags(amp_t):
+    if 1 in _state_flags(state):
         term = np.empty(amp_t.shape[1:], dtype=complex)
         new_amp[0] -= np.multiply(w, amp_t[1], out=term)
         new_amp[1] += np.multiply(c, amp_t[1], out=term)
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T)
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=(0, 1))
 
 
 def uncompute_clock(
@@ -564,9 +610,9 @@ def postselect_flag(state: QuantumState) -> tuple[QuantumState, float]:
     prob = float(np.vdot(branch, branch).real)
     if not prob > 1e-300:  # also catches NaN
         raise PostselectionError("flag=1 branch has zero probability")
-    new_amp = np.zeros(state.amplitudes.T.shape, dtype=complex)
+    new_amp = _flag_array(state.amplitudes.T.shape, (1,))
     np.divide(branch, np.sqrt(prob), out=new_amp[1])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T), prob
+    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=(1,)), prob
 
 
 def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
@@ -577,15 +623,20 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
         raise PostselectionError("clock |0> branch has zero probability")
     new_amp = np.zeros_like(state.amplitudes)
     new_amp[0] = branch / np.sqrt(prob)
-    return QuantumState(layout=state.layout, amplitudes=new_amp), prob
+    return QuantumState(layout=state.layout, amplitudes=new_amp,
+                        live_flags=state.live_flags), prob
 
 
 def extract_system_vector(state: QuantumState) -> np.ndarray:
     """System-register vector of a state whose clock and flag are definite."""
-    amp = state.amplitudes
     # Valid once only one branch is populated.  Summing the clock axis
     # first reduces along whole rows and adds the same nonzero terms.
-    collapsed = amp.sum(axis=0).sum(axis=1)
+    if state.live_flags is not None and len(state.live_flags) == 1:
+        # Only the live slice; adding +0.0 turns each -0.0 into +0.0, as
+        # adding the zero slice's sum does.
+        collapsed = state.amplitudes.T[state.live_flags[0]].sum(axis=1) + 0.0
+    else:
+        collapsed = state.amplitudes.sum(axis=0).sum(axis=1)
     norm = np.linalg.norm(collapsed)
     if abs(norm - 1.0) > 1e-6:
         raise DimensionError(
@@ -627,10 +678,10 @@ def _windowed_state(
     """
     if window.shape != (layout.clock_size,):
         raise DimensionError("window length does not match clock size")
-    amp_t = np.zeros((2, layout.system_dim, layout.clock_size), dtype=complex)
+    amp_t = _flag_array((2, layout.system_dim, layout.clock_size), (0,))
     _by_rows(lambda r: np.multiply(coords[r, None], window, out=amp_t[0, r]),
              layout.system_dim, layout.clock_size)
-    return QuantumState(layout=layout, amplitudes=amp_t.T)
+    return QuantumState(layout=layout, amplitudes=amp_t.T, live_flags=(0,))
 
 
 def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> QuantumState:
@@ -638,10 +689,10 @@ def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> Qua
 
     Of ``controlled_rotation``'s output the pass keeps only this branch.
     """
-    amp_t = np.zeros(state.amplitudes.T.shape, dtype=complex)
+    amp_t = _flag_array(state.amplitudes.T.shape, (1,))
     weights, flag_zero = rotation_weights(config), state.amplitudes.T[0]
     _by_rows(lambda r: np.multiply(weights, flag_zero[r], out=amp_t[1, r]), *flag_zero.shape)
-    return QuantumState(layout=state.layout, amplitudes=amp_t.T)
+    return QuantumState(layout=state.layout, amplitudes=amp_t.T, live_flags=(1,))
 
 
 def apply_hermitian_via_pe(
