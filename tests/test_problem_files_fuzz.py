@@ -18,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qfit.exceptions import QfitError  # noqa: E402
@@ -101,7 +101,10 @@ def _get(obj, path):
     return obj
 
 
-@settings(max_examples=300, deadline=None)
+# A loaded host can trip the too_slow health check; print_blob prints a
+# failing example's reproduce_failure blob, so a failure can be replayed.
+@settings(max_examples=300, deadline=None, print_blob=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(range(len(VALID))), st.integers(1, 3), st.data())
 def test_damaged_problem_file_loads_consistently_or_raises_qfit_error(which, count, data):
     obj = copy.deepcopy(VALID[which])

@@ -14,7 +14,11 @@ in the system basis, also where eigenspaces are degenerate and their
 basis is arbitrary.  On states with one flag slice exactly zero the
 reflection, the evolution and the QFT must return that slice exactly
 zero and each live slice bit for bit as when the other slice holds
-amplitudes, and the rotation must equal its formula bit for bit.  The
+amplitudes, and the rotation must equal its formula bit for bit.  A
+state that names its live flags must give every stage the output bytes
+of the same state that does not, and every slice outside an output's
+live flags must be exactly zero; no stage of a run may scan for live
+slices.  The
 window reflection of a clock-|0> state must equal the window state a
 pass writes directly.  A pass must return a unit vector and leave its
 input state as it was; a long-clock pass must hold no full-size array it
@@ -66,6 +70,7 @@ from qfit.sim import (  # noqa: E402
     SwapTestPlan,
     _pass_constants,
     _phase_table,
+    _rotated_flag_one,
     _windowed_state,
     apply_hermitian_via_pe,
     clock_window,
@@ -510,6 +515,99 @@ def test_rotation_drops_only_the_terms_of_zero_slices(t, d, seed, t0, scale, mod
     cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=scale, mode=mode)
     np.testing.assert_array_equal(controlled_rotation(state, cfg).amplitudes,
                                   _ref_controlled_rotation(state, cfg).amplitudes)
+
+
+def _known(state, live):
+    """``state`` naming ``live`` as its live flags."""
+    return QuantumState(layout=state.layout, amplitudes=state.amplitudes, live_flags=live)
+
+
+def _assert_dead_slices_zero(state):
+    assert state.live_flags is not None
+    for f in range(2):
+        if f not in state.live_flags:
+            assert not state.amplitudes[:, :, f].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.floats(0.1, 50.0),
+    scale=st.floats(0.01, 1.0),
+    mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
+    window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
+    live=FLAG_SETS,
+    hole=st.booleans(),
+    order=ORDERS,
+)
+def test_known_live_flags_change_no_output_byte(t, d, seed, t0, scale, mode, window, live,
+                                                hole, order):
+    # A state that names its live flags is not scanned; its outputs must
+    # be byte for byte those of the same state with live_flags None, and
+    # every slice an output leaves out of its live_flags exactly zero.
+    rng = np.random.default_rng(seed)
+    state = _flag_state(rng, t, d, live, order, hole)
+    eig = _random_eig(rng, d)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=scale, mode=mode,
+                                window=window)
+    vec = clock_window(t, window)
+    stages = [
+        lambda s: reflect_clock_window(s, vec),
+        lambda s: conditional_evolution(s, eig, cfg),
+        lambda s: conditional_evolution(s, eig, cfg, inverse=True),
+        lambda s: qft_clock(s, "forward"),
+        lambda s: qft_clock(s, "inverse"),
+        lambda s: controlled_rotation(s, cfg),
+        lambda s: _rotated_flag_one(s, cfg),
+        lambda s: uncompute_clock(s, eig, cfg),
+    ]
+    if 1 in live:
+        stages.append(lambda s: postselect_flag(s)[0])
+    if not hole:
+        stages.append(lambda s: postselect_clock_zero(s)[0])
+    for stage in stages:
+        out = stage(_known(state, live))
+        unknown = stage(state)
+        assert out.amplitudes.tobytes(order="A") == unknown.amplitudes.tobytes(order="A")
+        assert out.amplitudes.strides == unknown.amplitudes.strides
+        _assert_dead_slices_zero(out)
+
+    written = _windowed_state(random_complex_vector(rng, d), vec, state.layout)
+    assert written.live_flags == (0,)
+    _assert_dead_slices_zero(written)
+
+    # A clock-|0> state with one live flag: the system vector from that
+    # slice alone is the whole-state sum, signed zeros included, also for
+    # a system row of -0.0 on every clock step.
+    amp = np.zeros((t, d, 2), dtype=complex, order=order)
+    flag = live[0]
+    amp[0, :, flag] = random_complex_vector(rng, d)
+    if d > 1:
+        amp[:, 0, flag] = complex(-0.0, -0.0)
+        amp[0, :, flag] /= np.linalg.norm(amp[0, :, flag])
+    single = QuantumState(layout=state.layout, amplitudes=amp)
+    vector = extract_system_vector(single)
+    assert extract_system_vector(_known(single, (flag,))).tobytes() == vector.tobytes()
+
+
+def test_passes_scan_no_flag_slice(monkeypatch):
+    # Every state of a pass is built by qfit.sim and names its live flags,
+    # so no stage may fall back to scanning for them.
+    def scan(amp_t):
+        raise AssertionError("a stage scanned for live flag slices")
+
+    monkeypatch.setattr(qfit.sim, "_live_flags", scan)
+    problem = generate_problem(
+        ProblemSpec(n=12, m=6, kind="random", planted_support=(1, 4), planted_mass=0.95),
+        seed=21,
+    )
+    plan = SwapTestPlan(shots=100, seed=0)
+    for variant in (VARIANT_FUSED, VARIANT_THREE_STAGE):
+        run_settings = RunSettings(clock_size=256, window=WINDOW_SINE, variant=variant)
+        estimate_fit_quality(problem, run_settings, plan)
+    learn_sparse_fit(problem, 2, RunSettings(clock_size=256), plan, seed=0)
 
 
 # --- the phase table -------------------------------------------------------------
