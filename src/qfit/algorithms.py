@@ -117,8 +117,14 @@ def auto_t0(sigma_max: float, kappa: float, epsilon: float, clock_size: int) -> 
     """Resolve t0 ~ 2*pi*kappa/eps, snapped so sigma_max sits exactly on a bin.
 
     The bin index is clamped to the anti-aliasing limit T/2 - 1, so very
-    small epsilon degrades gracefully to the finest legal resolution.
+    small epsilon degrades gracefully to the finest legal resolution.  At
+    T = 2 that limit is bin 0, so no positive t0 exists.
     """
+    if clock_size < 4:
+        raise ConfigError(
+            f"automatic t0 needs a clock size T >= 4, got T = {clock_size}; "
+            "use T >= 4 or set --t0 explicitly"
+        )
     bins_raw = min(sigma_max * kappa / epsilon, clock_size)
     bins = min(max(round(bins_raw), 1), clock_size // 2 - 1)
     return 2.0 * np.pi * bins / sigma_max

@@ -507,12 +507,14 @@ def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to the file ``path``, as one step where a rename can.
 
     An existing regular file, reached directly or through symbolic links, is
-    replaced whole: the text goes to a temporary file beside it, which takes
-    the old file's permission bits and is renamed over it once fully
-    written, so a write that fails leaves the old file as it was and removes
-    the temporary file.  Every other target is written in place: a new file,
-    a device or a pipe has no old contents to keep, and a rename could not
-    keep the rest (see ``_replaceable_name``).
+    replaced whole: the text goes to a temporary file beside it, which is
+    renamed over it once fully written, so a write that fails leaves the old
+    file as it was and removes the temporary file.  The temporary file is
+    created anew under a random name, never through a file or link already
+    there, and takes the old file's permission bits before any text is
+    written.  Every other target is written in place: a new file, a device
+    or a pipe has no old contents to keep, and a rename could not keep the
+    rest (see ``_replaceable_name``).
     """
     real = _replaceable_name(path)
     if real is None:
@@ -520,15 +522,16 @@ def write_text_atomic(path, text: str) -> None:
             fh.write(text)
         return
     head, tail = os.path.split(real)
-    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    mode = stat.S_IMODE(os.stat(real).st_mode)
+    temporary = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with open(temporary, "w") as fh:
+        with open(fd, "w") as fh:
+            os.fchmod(fd, mode)  # before any text is written
             fh.write(text)
-        os.chmod(temporary, stat.S_IMODE(os.stat(real).st_mode))
         os.replace(temporary, real)
     except BaseException:
-        if os.path.lexists(temporary):
-            os.unlink(temporary)
+        os.unlink(temporary)
         raise
 
 

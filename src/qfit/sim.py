@@ -59,6 +59,15 @@ reflection, the evolution's phase product, the QFT, the flag rotation
 and the flag postselection stream whole clock rows.  The primitives
 accept either layout.
 
+One helper, ``_written_state``, writes every state whose clock rows a
+stage writes whole: it allocates the output, zeroes its dead flag slices
+(see "Flag slices"), splits the live ones into row blocks (see
+"Threads") and wraps the result.  It allocates the output before the
+clock-length arrays the stage builds for its write (the rotation
+weights, the reflection's conjugated window): built first, such arrays
+can take heap room a freed state left and push the output above it,
+which added 1 MB to the peak resident memory of four T = 65536 runs.
+
 Flag slices
 -----------
 Only the flag rotation acts on the flag, and every other stage
@@ -69,26 +78,23 @@ only the slices that hold a nonzero amplitude and write exact zeros into
 the other, and the rotation drops the terms of a zero flag-1 input.
 Skipping a zero slice changes no bit of the live one.
 
-A state names its live slices in ``QuantumState.live_flags``, so no
+Every state names its live slices in ``QuantumState.live_flags``, so no
 stage scans a slice to learn that it is zero.  Every state built here
 sets it: the input state and the window state hold flag 0, the rotated
 flag-1 output and the flag postselection flag 1, the rotation both; the
-reflection, the evolution, the QFT and the clock postselection pass on
-their input's.  A stage allocates its output uninitialized and zeroes
-only the slices that are not live.  Only a state built elsewhere, whose
-``live_flags`` is None, is scanned for them (``_live_flags``), and the
-scan finds the same slices, so no bit depends on it.
-``extract_system_vector`` sums a lone live slice instead of the state.
+other stages pass on their input's.  A state built elsewhere with
+``live_flags`` None is scanned once, when it is constructed
+(``_live_flags``).  ``extract_system_vector`` adds up the clock sums of
+the live slices only.
 
-A pass builds
-only the branch it keeps.  It starts flag-|0>, so it writes its first
-state as window (x) V^dag psi on flag 0, and its forward half runs on
-flag 0 alone.  It keeps only the flag-1 branch, and projecting onto it
-commutes with the uncomputation, which does not touch the flag; so of
-the rotation it writes only the flag-1 output, w_k times the flag-0
-slice, and its backward half runs on flag 1 alone.  It then reads the
-flag probability from the flag-1 slice and the clock-zero probability
-from that slice's clock-0 row, where they lie.
+A pass builds only the branch it keeps.  It starts flag-|0>, so it
+writes its first state as window (x) V^dag psi on flag 0, and its
+forward half runs on flag 0 alone.  It keeps only the flag-1 branch, and
+projecting onto it commutes with the uncomputation, which does not touch
+the flag; so of the rotation it writes only the flag-1 output, w_k times
+the flag-0 slice, and its backward half runs on flag 1 alone.  It then
+reads the flag probability from the flag-1 slice and the clock-zero
+probability from that slice's clock-0 row, where they lie.
 
 Pass constants
 --------------
@@ -104,12 +110,11 @@ operator.
 Threads
 -------
 Every stage acts on each system row of a flag slice on its own, so
-``_by_rows`` splits the D rows of a live slice into one block per CPU
-for the five row-wise writes of a pass (window state, phase product,
-QFT, rotated flag 1, rank-one update).  A block computes exactly what
-the unsplit call computes for its rows, and the phase table and every
-sum stay on the calling thread, so no bit depends on the CPU count.
-Blocks hold at least 2**17 amplitudes: on a 2-CPU host two threads took
+``_written_state`` has ``_by_rows`` split the D rows of each live slice
+into one block per CPU.  A block computes exactly what the unsplit call
+computes for its rows, and the phase table, the window overlaps and
+every sum stay on the calling thread, so no bit depends on the CPU
+count.  Blocks hold at least 2**17 amplitudes: on a 2-CPU host two threads took
 an 8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass at D = 64,
 T = 1024 was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
 
@@ -160,31 +165,8 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _live_flags(amp_t: np.ndarray) -> list[int]:
-    """Flags whose slice of a (flag, system, clock) array holds a nonzero amplitude.
-
-    Clock 0 settles most live slices at once; only a slice that is zero
-    there is scanned whole.
-    """
-    return [f for f in range(amp_t.shape[0]) if amp_t[f, :, 0].any() or amp_t[f].any()]
-
-
-def _state_flags(state: QuantumState) -> tuple[int, ...]:
-    """The state's ``live_flags``; only where they are not known, ``_live_flags``."""
-    if state.live_flags is not None:
-        return state.live_flags
-    return tuple(_live_flags(state.amplitudes.T))
-
-
-def _flag_array(shape: tuple[int, ...], live: tuple[int, ...]) -> np.ndarray:
-    """A new (flag, system, clock) array, zero on the flags not in ``live``.
-
-    The slices of ``live`` are left unset for the caller to write.
-    """
-    amp_t = np.empty(shape, dtype=complex)
-    for f in range(shape[0]):
-        if f not in live:
-            amp_t[f] = 0
-    return amp_t
+    """Flags whose slice of a (flag, system, clock) array holds a nonzero amplitude."""
+    return [f for f in range(amp_t.shape[0]) if amp_t[f].any()]
 
 
 def _cpu_count() -> int:
@@ -226,6 +208,35 @@ def _by_rows(fn, rows: int, cols: int) -> None:
         future.result()
 
 
+def _written_state(layout: RegisterLayout, live: tuple[int, ...], write,
+                   operands=tuple) -> QuantumState:
+    """A new state on ``layout`` whose live flag slices ``write`` fills.
+
+    Allocates the clock-contiguous output, zeroes the flag slices not in
+    ``live``, builds ``operands()``, and runs ``write(f, rows, out,
+    *operands)`` on the row blocks of each live slice ``out[f]``
+    (``_by_rows``).  Clock-length arrays a stage builds only for its write
+    belong in ``operands``, which are allocated after the output (see
+    "Memory order").
+    """
+    out = np.empty((2, layout.system_dim, layout.clock_size), dtype=complex)
+    for f in range(2):
+        if f not in live:
+            out[f] = 0
+    extra = operands()
+    for f in live:
+        _by_rows(lambda r: write(f, r, out, *extra), layout.system_dim, layout.clock_size)
+    return QuantumState(layout=layout, amplitudes=out.T, live_flags=live)
+
+
+def _branch_probability(branch: np.ndarray, name: str) -> float:
+    """|branch|^2 of a postselected branch; ``PostselectionError`` if it is 0 or NaN."""
+    prob = float(np.vdot(branch, branch).real)
+    if not prob > 1e-300:  # also catches NaN
+        raise PostselectionError(f"{name} branch has zero probability")
+    return prob
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     clock_size: int
@@ -252,15 +263,20 @@ class QuantumState:
     """A full-register state.
 
     ``live_flags`` lists the flags whose slice ``amplitudes.T[f]`` may hold
-    a nonzero amplitude; every other slice is exactly zero.  ``None``
-    means not known, and a primitive then scans for the live slices (see
-    "Flag slices").
+    a nonzero amplitude; every other slice is exactly zero.  A state built
+    with ``live_flags=None`` is scanned for them once, here
+    (``_live_flags``), so after construction every state knows its live
+    flags (see "Flag slices").
     """
 
     layout: RegisterLayout
     # Shape (T, D, 2), clock axis contiguous.  Do not mutate.
     amplitudes: np.ndarray
     live_flags: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.live_flags is None:
+            object.__setattr__(self, "live_flags", tuple(_live_flags(self.amplitudes.T)))
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -408,18 +424,18 @@ def reflect_clock_window(state: QuantumState, window: np.ndarray) -> QuantumStat
     vnorm_sq = float(np.vdot(v, v).real)
     amp_t = state.amplitudes.T
     if vnorm_sq < 1e-30:  # window is |0> itself
-        return QuantumState(layout=state.layout, amplitudes=np.copy(amp_t, order="C").T,
-                            live_flags=state.live_flags)
+        return _written_state(state.layout, state.live_flags,
+                              lambda f, r, out: np.copyto(out[f, r], amp_t[f, r]))
     scaled = (-2.0 / vnorm_sq) * v
-    # One state-sized allocation: per live flag, the rank-one term, then
-    # the input added in place.
-    live = _state_flags(state)
-    new_amp = _flag_array(amp_t.shape, live)
-    for f in live:
-        overlap = amp_t[f] @ v.conj()  # shape (D,)
-        _by_rows(lambda r: np.add(np.multiply(overlap[r, None], scaled, out=new_amp[f, r]),
-                                  amp_t[f, r], out=new_amp[f, r]), *amp_t.shape[1:])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
+
+    def write(f, r, out, overlaps):
+        # The rank-one term, then the input added in place.
+        np.add(np.multiply(overlaps[f][r, None], scaled, out=out[f, r]), amp_t[f, r],
+               out=out[f, r])
+
+    # Each live slice's overlap with v, shape (D,), after the output is allocated.
+    return _written_state(state.layout, state.live_flags, write,
+                          lambda: ({f: amp_t[f] @ v.conj() for f in state.live_flags},))
 
 
 # --- pipeline primitives -------------------------------------------------------
@@ -441,11 +457,8 @@ def conditional_evolution(
         raise DimensionError("operator dimension does not match system register")
     amp_t = state.amplitudes.T
     table = _phase_table(eig.eigenvalues, config, inverse)
-    live = _state_flags(state)
-    new_amp = _flag_array(amp_t.shape, live)
-    for f in live:
-        _by_rows(lambda r: np.multiply(amp_t[f, r], table[r], out=new_amp[f, r]), *table.shape)
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
+    return _written_state(state.layout, state.live_flags,
+                          lambda f, r, out: np.multiply(amp_t[f, r], table[r], out=out[f, r]))
 
 
 def _phase_table(eigenvalues, config: PhaseEstimationConfig, inverse: bool) -> np.ndarray:
@@ -519,12 +532,8 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
     else:
         raise ConfigError(f"unknown QFT direction {direction!r}")
     amp_t = state.amplitudes.T
-    live = _state_flags(state)
-    new_amp = _flag_array(amp_t.shape, live)
-    for f in live:
-        _by_rows(lambda r: np.copyto(new_amp[f, r], transform(amp_t[f, r], norm="ortho")),
-                 *amp_t.shape[1:])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=live)
+    return _written_state(state.layout, state.live_flags, lambda f, r, out: np.copyto(
+        out[f, r], transform(amp_t[f, r], norm="ortho")))
 
 
 def decode_eigenvalue(k, clock_size: int, t0: float):
@@ -569,19 +578,23 @@ def controlled_rotation(state: QuantumState, config: PhaseEstimationConfig) -> Q
     The result always holds a fresh array that no other state shares, and
     both its flags may be live.
     """
-    w = rotation_weights(config)
-    c = np.sqrt(1.0 - w**2)
     amp_t = state.amplitudes.T
-    new_amp = np.empty(amp_t.shape, dtype=complex)
-    # c*a0 - w*a1 and w*a0 + c*a1; the a1 terms only when flag 1 is live,
-    # with one half-state buffer for them.
-    np.multiply(c, amp_t[0], out=new_amp[0])
-    np.multiply(w, amp_t[0], out=new_amp[1])
-    if 1 in _state_flags(state):
-        term = np.empty(amp_t.shape[1:], dtype=complex)
-        new_amp[0] -= np.multiply(w, amp_t[1], out=term)
-        new_amp[1] += np.multiply(c, amp_t[1], out=term)
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=(0, 1))
+    flag_one = 1 in state.live_flags
+
+    def write(f, r, out, w, c):
+        # c*a0 - w*a1 on flag 0 and w*a0 + c*a1 on flag 1; the a1 terms
+        # only when flag 1 is live.
+        np.multiply((c, w)[f], amp_t[0, r], out=out[f, r])
+        if flag_one and f == 0:
+            np.subtract(out[0, r], w * amp_t[1, r], out=out[0, r])
+        elif flag_one:
+            np.add(out[1, r], c * amp_t[1, r], out=out[1, r])
+
+    def weights():
+        w = rotation_weights(config)
+        return w, np.sqrt(1.0 - w**2)
+
+    return _written_state(state.layout, (0, 1), write, weights)
 
 
 def uncompute_clock(
@@ -607,20 +620,16 @@ def postselect_flag(state: QuantumState) -> tuple[QuantumState, float]:
     the result is clock-contiguous.
     """
     branch = np.ascontiguousarray(state.amplitudes.T[1])
-    prob = float(np.vdot(branch, branch).real)
-    if not prob > 1e-300:  # also catches NaN
-        raise PostselectionError("flag=1 branch has zero probability")
-    new_amp = _flag_array(state.amplitudes.T.shape, (1,))
-    np.divide(branch, np.sqrt(prob), out=new_amp[1])
-    return QuantumState(layout=state.layout, amplitudes=new_amp.T, live_flags=(1,)), prob
+    prob = _branch_probability(branch, "flag=1")
+    norm = np.sqrt(prob)
+    return _written_state(state.layout, (1,), lambda f, r, out: np.divide(
+        branch[r], norm, out=out[f, r])), prob
 
 
 def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
     """Project the clock onto |0> and renormalize; exact probability."""
     branch = state.amplitudes[0]
-    prob = float(np.vdot(branch, branch).real)
-    if not prob > 1e-300:  # also catches NaN
-        raise PostselectionError("clock |0> branch has zero probability")
+    prob = _branch_probability(branch, "clock |0>")
     new_amp = np.zeros_like(state.amplitudes)
     new_amp[0] = branch / np.sqrt(prob)
     return QuantumState(layout=state.layout, amplitudes=new_amp,
@@ -629,14 +638,12 @@ def postselect_clock_zero(state: QuantumState) -> tuple[QuantumState, float]:
 
 def extract_system_vector(state: QuantumState) -> np.ndarray:
     """System-register vector of a state whose clock and flag are definite."""
-    # Valid once only one branch is populated.  Summing the clock axis
-    # first reduces along whole rows and adds the same nonzero terms.
-    if state.live_flags is not None and len(state.live_flags) == 1:
-        # Only the live slice; adding +0.0 turns each -0.0 into +0.0, as
-        # adding the zero slice's sum does.
-        collapsed = state.amplitudes.T[state.live_flags[0]].sum(axis=1) + 0.0
-    else:
-        collapsed = state.amplitudes.sum(axis=0).sum(axis=1)
+    # Valid once only one branch is populated.  Each live slice's clock sum
+    # reduces along whole rows; starting from +0.0 turns each -0.0 into
+    # +0.0, as adding a zero slice's sum does.
+    collapsed = 0.0
+    for f in state.live_flags:
+        collapsed = collapsed + state.amplitudes.T[f].sum(axis=1)
     norm = np.linalg.norm(collapsed)
     if abs(norm - 1.0) > 1e-6:
         raise DimensionError(
@@ -678,10 +685,8 @@ def _windowed_state(
     """
     if window.shape != (layout.clock_size,):
         raise DimensionError("window length does not match clock size")
-    amp_t = _flag_array((2, layout.system_dim, layout.clock_size), (0,))
-    _by_rows(lambda r: np.multiply(coords[r, None], window, out=amp_t[0, r]),
-             layout.system_dim, layout.clock_size)
-    return QuantumState(layout=layout, amplitudes=amp_t.T, live_flags=(0,))
+    return _written_state(layout, (0,), lambda f, r, out: np.multiply(
+        coords[r, None], window, out=out[f, r]))
 
 
 def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> QuantumState:
@@ -689,10 +694,11 @@ def _rotated_flag_one(state: QuantumState, config: PhaseEstimationConfig) -> Qua
 
     Of ``controlled_rotation``'s output the pass keeps only this branch.
     """
-    amp_t = _flag_array(state.amplitudes.T.shape, (1,))
-    weights, flag_zero = rotation_weights(config), state.amplitudes.T[0]
-    _by_rows(lambda r: np.multiply(weights, flag_zero[r], out=amp_t[1, r]), *flag_zero.shape)
-    return QuantumState(layout=state.layout, amplitudes=amp_t.T, live_flags=(1,))
+    flag_zero = state.amplitudes.T[0]
+    return _written_state(
+        state.layout, (1,),
+        lambda f, r, out, weights: np.multiply(weights, flag_zero[r], out=out[f, r]),
+        lambda: (rotation_weights(config),))
 
 
 def apply_hermitian_via_pe(
@@ -725,13 +731,9 @@ def apply_hermitian_via_pe(
     s = uncompute_clock(s, eig, config)
 
     branch = s.amplitudes.T[1]  # clock-contiguous (D, T)
-    flag_prob = float(np.vdot(branch, branch).real)
-    if not flag_prob > 1e-300:  # also catches NaN
-        raise PostselectionError("flag=1 branch has zero probability")
+    flag_prob = _branch_probability(branch, "flag=1")
     row = branch[:, 0] / np.sqrt(flag_prob)
-    clock_prob = float(np.vdot(row, row).real)
-    if not clock_prob > 1e-300:
-        raise PostselectionError("clock |0> branch has zero probability")
+    clock_prob = _branch_probability(row, "clock |0>")
 
     out_vec = vecs @ (row / np.sqrt(clock_prob))
     exact = apply_matrix_function(eig, _mode_function(config.mode), psi_in)

@@ -205,6 +205,22 @@ class TestRun:
         payload = json.loads(result.output.strip().splitlines()[-1])
         assert payload["error"] == "ConfigError"
 
+    def test_automatic_t0_at_the_smallest_clock_names_the_clock(self, runner,
+                                                                worked_problem_file,
+                                                                tmp_path):
+        # At T = 2 the automatic t0 has no bin to sit on; the error names T
+        # and the fix, not the t0 the user never set.
+        args = ["run", "--problem", worked_problem_file, "-T", "2",
+                "--out", str(tmp_path / "x.json")]
+        payload = error_payload(runner.invoke(main, args))
+        assert payload["error"] == "ConfigError"
+        assert "T = 2" in payload["message"]
+        assert "T >= 4" in payload["message"]
+        assert "--t0" in payload["message"]
+        assert "t0 > 0" not in payload["message"]
+        # An explicit t0 below the aliasing limit still runs at T = 2.
+        assert invoke(runner, [*args, "--t0", "1.0"]).exit_code == 0
+
 
 class TestLearn:
     def test_planted_learn_report(self, runner, tmp_path):

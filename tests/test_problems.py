@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+import qfit.problems
 from qfit.exceptions import DimensionError, GenerationError, SchemaError
 from qfit.problems import (
     BASIS_FOURIER,
@@ -380,6 +381,72 @@ class TestProblemFiles:
         os.chmod(path, 0o600)
         save_problem(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1), path)
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    @pytest.mark.parametrize("mode", [0o600, 0o640])
+    def test_new_text_is_never_written_with_wider_permission_bits(self, tmp_path,
+                                                                  monkeypatch, mode):
+        path = tmp_path / "problem.json"
+        path.write_text("old\n")
+        os.chmod(path, mode)
+        seen = []
+
+        class Watched:
+            """A text file that records its permission bits at every write."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                seen.append(stat.S_IMODE(os.fstat(self.fh.fileno()).st_mode))
+                return self.fh.write(text)
+
+        monkeypatch.setattr(qfit.problems, "open",
+                            lambda *args, **kwargs: Watched(open(*args, **kwargs)),
+                            raising=False)
+        old_umask = os.umask(0o022)
+        try:
+            save_problem(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1), path)
+        finally:
+            os.umask(old_umask)
+        assert seen == [mode]
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+    def test_planted_link_at_the_temporary_name_is_not_followed(self, tmp_path):
+        # A link where the temporary file of this process could be named
+        # must neither receive the text nor end up as the artifact.
+        path, other = tmp_path / "problem.json", tmp_path / "other.json"
+        path.write_text("old\n")
+        other.write_text("other\n")
+        planted = tmp_path / f".problem.json.{os.getpid()}.tmp"
+        planted.symlink_to(other)
+        prob = generate_problem(ProblemSpec(n=4, m=2, kind="poly"), seed=1)
+        save_problem(prob, path)
+        assert not path.is_symlink()
+        np.testing.assert_array_equal(load_problem(path).design_matrix, prob.design_matrix)
+        assert other.read_text() == "other\n"
+        assert planted.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["problem.json", "other.json", planted.name])
+
+    def test_existing_file_at_the_temporary_name_is_left_alone(self, tmp_path, monkeypatch):
+        # The temporary file is created exclusively: should its random name
+        # already exist, the write fails and neither file changes.
+        path = tmp_path / "problem.json"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "urandom", lambda n: b"\0" * n)
+        taken = tmp_path / f".problem.json.{'00' * 8}.tmp"
+        taken.write_text("taken\n")
+        with pytest.raises(FileExistsError):
+            write_text_atomic(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert taken.read_text() == "taken\n"
 
     def test_file_with_another_hard_link_is_written_in_place(self, tmp_path):
         path, other = tmp_path / "problem.json", tmp_path / "other.json"

@@ -18,11 +18,13 @@ amplitudes, and the rotation must equal its formula bit for bit.  A
 state that names its live flags must give every stage the output bytes
 of the same state that does not, and every slice outside an output's
 live flags must be exactly zero; no stage of a run may scan for live
-slices.  The
-window reflection of a clock-|0> state must equal the window state a
-pass writes directly.  A pass must return a unit vector and leave its
-input state as it was; a long-clock pass must hold no full-size array it
-has finished with, and a long-clock run no state between its passes.
+slices.  A state built with ``live_flags`` None must carry, once
+constructed, the flags the scan finds, and no primitive may scan it
+again.  The window reflection of a clock-|0> state must equal the
+window state a pass writes directly.  A pass must return a unit vector
+and leave its input state as it was; a long-clock pass must hold no
+full-size array it has finished with, and a long-clock run no state
+between its passes.
 The memoized pass constants must give every phase table and window bit
 for bit as a build without the memo, in any order of queries, stay
 read-only, and be built once per distinct operator of a run.  Most are
@@ -590,6 +592,62 @@ def test_known_live_flags_change_no_output_byte(t, d, seed, t0, scale, mode, win
     single = QuantumState(layout=state.layout, amplitudes=amp)
     vector = extract_system_vector(single)
     assert extract_system_vector(_known(single, (flag,))).tobytes() == vector.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=CLOCKS,
+    d=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    live=FLAG_SETS,
+    hole=st.booleans(),
+    order=ORDERS,
+)
+def test_state_built_elsewhere_knows_its_live_flags(t, d, seed, live, hole, order):
+    # A state built with live_flags None is scanned once, at construction,
+    # and carries the flags the scan finds, also where clock 0 is zero.
+    state = _flag_state(np.random.default_rng(seed), t, d, live, order, hole)
+    assert state.live_flags == tuple(qfit.sim._live_flags(state.amplitudes.T)) == live
+    zero = QuantumState(layout=state.layout,
+                        amplitudes=np.zeros((t, d, 2), dtype=complex, order=order))
+    assert zero.live_flags == ()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_primitives_read_the_flags_found_at_construction(order, monkeypatch):
+    # Once built, a state built elsewhere is never scanned again: every
+    # primitive runs on it with the scan made to fail.
+    rng = np.random.default_rng(7)
+    t, d = 16, 3
+    state = _flag_state(rng, t, d, (0, 1), order, hole=False)
+    amp = np.zeros((t, d, 2), dtype=complex, order=order)
+    amp[0, :, 1] = random_complex_vector(rng, d)
+    definite = QuantumState(layout=state.layout, amplitudes=amp)
+    assert definite.live_flags == (1,)
+    eig = _random_eig(rng, d)
+    cfg = PhaseEstimationConfig(clock_size=t, t0=2.0, rotation_scale=0.5, mode=MODE_MULTIPLY,
+                                window=WINDOW_SINE)
+    vec = clock_window(t, WINDOW_SINE)
+
+    def scan(amp_t):
+        raise AssertionError("a primitive scanned for live flag slices")
+
+    monkeypatch.setattr(qfit.sim, "_live_flags", scan)
+    stages = [
+        lambda s: reflect_clock_window(s, vec),
+        lambda s: conditional_evolution(s, eig, cfg),
+        lambda s: conditional_evolution(s, eig, cfg, inverse=True),
+        lambda s: qft_clock(s, "forward"),
+        lambda s: qft_clock(s, "inverse"),
+        lambda s: controlled_rotation(s, cfg),
+        lambda s: postselect_flag(s)[0],
+        lambda s: postselect_clock_zero(s)[0],
+        lambda s: uncompute_clock(s, eig, cfg),
+    ]
+    for stage in stages:
+        _assert_dead_slices_zero(stage(state))
+    np.testing.assert_allclose(extract_system_vector(definite), amp[0, :, 1],
+                               rtol=1e-15, atol=0)
 
 
 def test_passes_scan_no_flag_slice(monkeypatch):
