@@ -57,6 +57,7 @@ from .sim import (
     SwapTestPlan,
     SwapTestResult,
     apply_hermitian_via_pe,
+    check_clock_size,
     data_state_vector,
     default_rotation_scale,
     exact_overlap_sq,
@@ -92,6 +93,7 @@ class RunSettings:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        check_clock_size(self.clock_size)
         if self.variant not in _VARIANT_MODES:
             raise ConfigError(f"unknown pipeline variant {self.variant!r}")
         if not 0 < self.epsilon <= 1:
@@ -393,13 +395,19 @@ def learn_sparse_fit(
     The full and the reduced problem are each priced before their own
     passes, so settings the cost model cannot price fail before that work.
     Either is refused before its passes when y is orthogonal to its fit
-    functions.
+    functions.  A tomography epsilon above 1 / tomography.REFERENCE_FACTOR,
+    which no reference amplitude can meet, is refused before the first pass.
     """
     if not 1 <= m_prime <= problem.m:
         raise DimensionError(f"m' must lie in 1..{problem.m}, got {m_prime}")
     shots = support_shot_count(m_prime, alpha)
     if budget is None:
         budget = tomography.plan_budget(m_prime, tomography_epsilon)
+    if budget.epsilon * tomography.REFERENCE_FACTOR > 1:
+        raise ConfigError(
+            f"tomography epsilon {budget.epsilon:g} exceeds {1 / tomography.REFERENCE_FACTOR:g}: "
+            f"the reference amplitude, at most 1, must reach {tomography.REFERENCE_FACTOR:g}*eps"
+        )
     prep, cost, *_ = _prepare(
         problem, settings, plan.delta, ALG_LEARN, m_prime, tuple(range(problem.m))
     )
@@ -473,10 +481,10 @@ def _settings_to_json(settings: RunSettings) -> dict:
     }
 
 
-def fit_report_to_json(report: FitReport, extra: dict | None = None) -> dict:
+def fit_report_to_json(report: FitReport) -> dict:
     from .cost import cost_report_to_json
 
-    obj = {
+    return {
         "schemaVersion": REPORT_SCHEMA_VERSION,
         "kind": "fit-report",
         "overlapSqEstimate": report.overlap_sq_estimate,
@@ -500,16 +508,13 @@ def fit_report_to_json(report: FitReport, extra: dict | None = None) -> dict:
         "settings": _settings_to_json(report.settings),
         "costModel": cost_report_to_json(report.cost),
     }
-    if extra:
-        obj.update(extra)
-    return obj
 
 
-def learn_report_to_json(report: LearnReport, extra: dict | None = None) -> dict:
+def learn_report_to_json(report: LearnReport) -> dict:
     from .cost import cost_report_to_json
 
     rec = report.reconstruction
-    obj = {
+    return {
         "schemaVersion": REPORT_SCHEMA_VERSION,
         "kind": "learn-report",
         "recoveredSupport": list(report.recovered_support),
@@ -542,6 +547,3 @@ def learn_report_to_json(report: LearnReport, extra: dict | None = None) -> dict
         "seeds": {"master": report.seed},
         "costModel": cost_report_to_json(report.cost),
     }
-    if extra:
-        obj.update(extra)
-    return obj

@@ -210,7 +210,7 @@ def oracle(problem_path, out):
 _COMMON_RUN_OPTIONS = [
     click.option("--problem", "problem_path", required=True, help="Problem file."),
     click.option("-T", "--clock-size", "t", type=int, default=1024, show_default=True,
-                 help="Clock register size (power of two)."),
+                 help="Clock register size, a power of two >= 2."),
     click.option("--t0", default="auto", show_default=True,
                  help="Total evolution time, or 'auto'."),
     click.option("--c", default="auto", show_default=True,
@@ -264,7 +264,7 @@ def run(out, **options):
     """Prepare the fit state and estimate fit quality by swap test."""
     problem, master, settings, plan, config = _run_inputs(**options)
     report = estimate_fit_quality(problem, settings, plan)
-    _write_json(fit_report_to_json(report, extra={"config": config, "masterSeed": master}), out)
+    _write_json({**fit_report_to_json(report), "config": config, "masterSeed": master}, out)
 
 
 @main.command()
@@ -288,7 +288,7 @@ def learn(out, m_prime, alpha, tom_epsilon, **options):
         tomography_epsilon=tom_epsilon,
     )
     config.update({"mPrime": m_prime, "alpha": alpha, "tomEpsilon": tom_epsilon})
-    _write_json(learn_report_to_json(report, extra={"config": config, "masterSeed": master}), out)
+    _write_json({**learn_report_to_json(report), "config": config, "masterSeed": master}, out)
 
 
 def _cost_csv(report_obj: dict) -> str:

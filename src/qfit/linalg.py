@@ -108,8 +108,16 @@ def embed(f_matrix) -> EmbeddedOperator:
 
 
 def condition_estimate(f_matrix) -> ConditionEstimate:
-    """Largest/smallest singular values of F and their ratio."""
-    sigma = np.linalg.svd(as_complex_matrix(f_matrix), compute_uv=False)
+    """Largest/smallest singular values of F and their ratio.
+
+    This is the one full-column-rank rule: F with more columns than rows,
+    or with a singular value below SINGULAR_TOL, raises SingularMatrixError.
+    """
+    f = as_complex_matrix(f_matrix)
+    if f.shape[1] > f.shape[0]:
+        raise SingularMatrixError(f"F of shape {f.shape} has more columns than rows; "
+                                  "the fit parameters are not unique")
+    sigma = np.linalg.svd(f, compute_uv=False)
     smax = float(sigma[0])
     smin = float(sigma[-1])
     if smin < SINGULAR_TOL:
@@ -127,14 +135,12 @@ def sparsity_profile(f_matrix) -> int:
 
 
 def pseudoinverse(f_matrix) -> np.ndarray:
-    """Moore-Penrose pseudoinverse (F^dag F)^-1 F^dag of a full-column-rank F."""
+    """Moore-Penrose pseudoinverse (F^dag F)^-1 F^dag of a full-column-rank F.
+
+    The rank is checked by ``condition_estimate``.
+    """
     f = as_complex_matrix(f_matrix)
-    sigma = np.linalg.svd(f, compute_uv=False)
-    if f.shape[1] > f.shape[0] or sigma[-1] < SINGULAR_TOL:
-        raise SingularMatrixError(
-            "F^dag F is singular (degenerate direction of the residual form); "
-            "the fit parameters are not unique"
-        )
+    condition_estimate(f)
     gram = f.conj().T @ f
     return np.linalg.solve(gram, f.conj().T)
 
@@ -217,13 +223,16 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix of a JSON matrix object; SchemaError where it breaks the format.
+
+    Counts and indices must be JSON integers: ``type(v) is int`` refuses
+    floats, strings and bools (a bool is an int in Python).
+    """
     if not isinstance(obj, dict):
         raise SchemaError("matrix object must be a JSON object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError("matrix object needs integer rows/cols") from exc
+    rows, cols = obj.get("rows"), obj.get("cols")
+    if type(rows) is not int or type(cols) is not int:
+        raise SchemaError(f"matrix object needs integer rows/cols, got {rows!r}, {cols!r}")
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
     if "entries" in obj:
@@ -235,10 +244,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         return as_complex_matrix(_complex_from_pairs(entries).reshape(rows, cols))
     if "triplets" in obj:
         mat = np.zeros((rows, cols), dtype=complex)
-        for i, j, re, im in obj["triplets"]:
-            i, j = int(i), int(j)
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise SchemaError(f"triplet index ({i}, {j}) out of range")
+        for triplet in obj["triplets"]:
+            if not isinstance(triplet, list) or len(triplet) != 4:
+                raise SchemaError(f"triplet {triplet!r} is not [i, j, re, im]")
+            i, j, re, im = triplet
+            if type(i) is not int or type(j) is not int or not (0 <= i < rows and 0 <= j < cols):
+                raise SchemaError(f"triplet index ({i!r}, {j!r}) is not an integer pair in range")
             mat[i, j] = complex(re, im)
         return as_complex_matrix(mat)
     raise SchemaError("matrix object needs 'entries' or 'triplets'")

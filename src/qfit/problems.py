@@ -327,12 +327,15 @@ def problem_from_json(obj: dict) -> FitProblem:
         basis_obj = obj["basis"]
         f = linalg.matrix_from_json(obj["designMatrix"])
         y = linalg.vector_from_json(obj["yVector"])
-        scale_f, scale_y = (float(s) for s in obj["normScale"])
+        scales = obj["normScale"]
+        if not all(type(s) in (int, float) for s in scales):  # JSON true is no number
+            raise SchemaError(f"problem file normScale entries must be numbers, got {scales!r}")
+        scale_f, scale_y = (float(s) for s in scales)
         seed = obj.get("seed")
         if not isinstance(basis_obj, dict):
             raise SchemaError("problem file basis must be a JSON object")
         kind = basis_obj.get("kind", BASIS_CUSTOM)
-        m = f.shape[1] if kind == BASIS_CUSTOM else int(basis_obj["m"])
+        m = f.shape[1] if kind == BASIS_CUSTOM else basis_obj["m"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed problem file: {exc}") from exc
     if version != PROBLEM_SCHEMA_VERSION:
@@ -345,6 +348,8 @@ def problem_from_json(obj: dict) -> FitProblem:
             )
     if kind not in (BASIS_POLYNOMIAL, BASIS_FOURIER, BASIS_CUSTOM):
         raise SchemaError(f"problem file basis kind {kind!r} is unknown")
+    if type(m) is not int:  # 2.5, "2" and true are refused, not converted
+        raise SchemaError(f"problem file basis m must be an integer, got {m!r}")
     if m != f.shape[1]:
         raise SchemaError(
             f"problem file basis has m = {m} but designMatrix has {f.shape[1]} columns"

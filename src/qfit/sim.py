@@ -160,8 +160,10 @@ _TWO_PI = 2 * np.arccos(np.longdouble(-1))
 _MIN_BLOCK = 1 << 17  # fewest amplitudes (2 MiB) per row block; see "Threads"
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def check_clock_size(clock_size: int) -> None:
+    """The clock-size rule: T must be a power of two >= 2, else ConfigError."""
+    if clock_size < 2 or clock_size & (clock_size - 1):
+        raise ConfigError(f"clock size {clock_size} must be a power of two >= 2")
 
 
 def _live_flags(amp_t: np.ndarray) -> list[int]:
@@ -243,8 +245,7 @@ class RegisterLayout:
     system_dim: int
 
     def __post_init__(self):
-        if not _is_power_of_two(self.clock_size) or self.clock_size < 2:
-            raise ConfigError(f"clock size {self.clock_size} must be a power of two >= 2")
+        check_clock_size(self.clock_size)
         if self.system_dim < 1:
             raise DimensionError("system dimension must be >= 1")
         if self.total_amplitudes > DEFAULT_AMPLITUDE_CAP:
@@ -298,8 +299,7 @@ class PhaseEstimationConfig:
     window: str = WINDOW_UNIFORM
 
     def __post_init__(self):
-        if not _is_power_of_two(self.clock_size) or self.clock_size < 2:
-            raise ConfigError(f"clock size {self.clock_size} must be a power of two >= 2")
+        check_clock_size(self.clock_size)
         if not math.isfinite(self.t0):
             raise ConfigError(f"t0 must be finite, got {self.t0}")
         if self.t0 < 0:
@@ -397,11 +397,10 @@ def clock_window(clock_size: int, window: str) -> np.ndarray:
     """Unit clock vector of a window.
 
     "uniform" is 1/sqrt(T) on every tau; "sine" is the tapered
-    sqrt(2/T) * sin(pi*(tau+1/2)/T).  Both need T >= 2 (the sine window
-    does not normalize at T = 1).
+    sqrt(2/T) * sin(pi*(tau+1/2)/T).  Both need a clock size that
+    ``check_clock_size`` accepts (the sine window does not normalize at T = 1).
     """
-    if clock_size < 2:
-        raise ConfigError("clock window needs T >= 2")
+    check_clock_size(clock_size)
     if window == WINDOW_SINE:
         tau = np.arange(clock_size)
         return np.sqrt(2.0 / clock_size) * np.sin(np.pi * (tau + 0.5) / clock_size)

@@ -32,6 +32,10 @@ from .seeding import spawn_rng
 
 AMPLITUDE_TOL = 1e-12
 
+# The reference amplitude must be at least this many times eps.  An
+# amplitude is at most 1, so eps above 1 / REFERENCE_FACTOR always fails.
+REFERENCE_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class TomographyBudget:
@@ -117,20 +121,18 @@ def reconstruct_pure_state(
 ) -> tuple[ReconstructedState, list[SettingRecord]]:
     """Reconstruct the state produced by ``state_preparer``.
 
-    The preparer is called once per setting repetition (fresh copy per
-    measurement round).  Returns the estimate, with its fidelity to the
-    exact state ``oracle``, and the per-setting raw counts.  Raises if the reference component (the largest-probability
-    index) is too weak for a conditioned phase readout.
+    The state's dimension is that of the exact state ``oracle``.  The
+    preparer is called exactly once per setting repetition (a fresh copy
+    per measurement round) and never otherwise, so it is called
+    max(budget.settings, 2 * dim - 1) times.  Returns the estimate, with
+    its fidelity to ``oracle``, and the per-setting raw counts.  Raises
+    TomographyError if the reference component (the largest-probability
+    index) has an amplitude below REFERENCE_FACTOR * eps, too weak for a
+    conditioned phase readout.
     """
     rng = spawn_rng(seed, 0)
-    probe = as_complex_vector(state_preparer())
-    dim = probe.size
-    pending: list[np.ndarray] = [probe]  # probe copy feeds the first round
-
-    def fresh_copy() -> np.ndarray:
-        if pending:
-            return pending.pop()
-        return as_complex_vector(state_preparer())
+    oracle = as_complex_vector(oracle)
+    dim = oracle.size
 
     # One probability configuration, then two phases (0, pi/2) for each of
     # the dim - 1 components other than the reference, which is chosen only
@@ -140,18 +142,23 @@ def reconstruct_pure_state(
     settings = max(budget.settings, n_configs)
     reps = settings // n_configs + (np.arange(n_configs) < settings % n_configs)
 
+    def pooled_counts(rep: int, outcome_probs, outcomes: int) -> np.ndarray:
+        """Counts pooled over ``rep`` rounds, each on a freshly prepared copy."""
+        counts = np.zeros(outcomes, dtype=int)
+        for _ in range(rep):
+            amps = as_complex_vector(state_preparer())
+            counts += _sample_probs(outcome_probs(amps), budget.shots_per_setting, rng)
+        return counts
+
     # Probability setting: pooled computational-basis counts.
-    prob_counts = np.zeros(dim, dtype=int)
-    for _ in range(reps[0]):
-        amps = fresh_copy()
-        prob_counts += _sample_probs(np.abs(amps) ** 2, budget.shots_per_setting, rng)
+    prob_counts = pooled_counts(reps[0], lambda amps: np.abs(amps) ** 2, dim)
     p_hat = prob_counts / prob_counts.sum()
     ref = int(np.argmax(p_hat))
     ref_amp = float(np.sqrt(p_hat[ref]))
-    if ref_amp < 10.0 * budget.epsilon:
+    if ref_amp < REFERENCE_FACTOR * budget.epsilon:
         raise TomographyError(
-            f"reference amplitude {ref_amp:.3f} below 10*eps = {10 * budget.epsilon:.3f}; "
-            "phase readout is ill-conditioned"
+            f"reference amplitude {ref_amp:.3f} below {REFERENCE_FACTOR:g}*eps = "
+            f"{REFERENCE_FACTOR * budget.epsilon:.3f}; phase readout is ill-conditioned"
         )
     records = [
         SettingRecord(
@@ -171,14 +178,9 @@ def reconstruct_pure_state(
         parts = []
         for part, phase in enumerate((0.0, np.pi / 2)):
             rep = int(reps[1 + 2 * slot + part])
-            counts = np.zeros(3, dtype=int)
-            for _ in range(rep):
-                amps = fresh_copy()
-                counts += _sample_probs(
-                    _interference_probs(amps, ref, j, phase),
-                    budget.shots_per_setting,
-                    rng,
-                )
+            counts = pooled_counts(
+                rep, lambda amps: _interference_probs(amps, ref, j, phase), 3
+            )
             total = counts.sum()
             parts.append((counts[0] - counts[1]) / (2.0 * total))
             records.append(

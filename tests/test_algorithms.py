@@ -21,9 +21,24 @@ from qfit.algorithms import (
     select_support,
     support_shot_count,
 )
-from qfit.exceptions import ConfigError, DimensionError, InvariantError, PostselectionError
+from qfit.exceptions import (
+    ConfigError,
+    DimensionError,
+    InvariantError,
+    PostselectionError,
+    SingularMatrixError,
+)
 from qfit.linalg import SINGULAR_TOL, EigDecomposition, eig_hermitian, embed
-from qfit.problems import ProblemSpec, generate_problem, normalize_problem, restrict_columns
+from qfit.problems import (
+    BASIS_CUSTOM,
+    DataSet,
+    FitBasis,
+    FitProblem,
+    ProblemSpec,
+    generate_problem,
+    normalize_problem,
+    restrict_columns,
+)
 from qfit.sim import (
     MODE_INVERT,
     MODE_MULTIPLY,
@@ -41,6 +56,20 @@ COMMENSURATE = RunSettings(clock_size=8, t0=4 * np.pi)
 
 def spec_for(problem, settings):
     return make_pipeline_spec(eig_hermitian(embed(problem.design_matrix)), settings)
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """The phase-estimation passes the pipelines run, one entry each."""
+    calls = []
+    apply_pass = qfit.algorithms.apply_hermitian_via_pe
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_pass(*args, **kwargs)
+
+    monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", counted)
+    return calls
 
 
 class TestPipelineSpec:
@@ -71,6 +100,11 @@ class TestPipelineSpec:
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
             RunSettings(variant="pentuple")
+
+    @pytest.mark.parametrize("clock_size", [3, 1, 0, -4, 96])
+    def test_clock_size_is_refused_with_the_settings(self, clock_size):
+        with pytest.raises(ConfigError, match="must be a power of two >= 2"):
+            RunSettings(clock_size=clock_size, t0=1.0)
 
 
 class TestZeroEigenvalueRule:
@@ -357,6 +391,14 @@ class TestLearnSparseFit:
             expected = estimate_fit_quality(reduced, settings, plan)
             assert fit_report_to_json(report.fit_report) == fit_report_to_json(expected)
 
+    @pytest.mark.parametrize("eps", [0.2, 0.5])
+    def test_hopeless_tomography_epsilon_is_refused_before_any_pass(self, pass_calls, eps):
+        # The reference amplitude is at most 1, so it never reaches 10 * eps.
+        with pytest.raises(ConfigError, match=r"exceeds 0\.1"):
+            learn_sparse_fit(self.planted(seed=21), 2, self.settings(),
+                             SwapTestPlan(shots=500, seed=5), seed=21, tomography_epsilon=eps)
+        assert pass_calls == []
+
     @pytest.mark.parametrize("f, y, passes", [
         # lambda = (2, 1), but y is orthogonal to column 0 (up to 1e-14), so the
         # reduced problem on support (0,) has no reachable fitted state: learning
@@ -368,17 +410,35 @@ class TestLearnSparseFit:
         # y is orthogonal to the only column: refused before the first pass.
         pytest.param([[1.0], [0.0]], [0.0, 1.0], 0, id="full"),
     ])
-    def test_orthogonal_support_is_refused(self, monkeypatch, f, y, passes):
-        calls = []
-        apply_pass = qfit.algorithms.apply_hermitian_via_pe
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return apply_pass(*args, **kwargs)
-
-        monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", counted)
+    def test_orthogonal_support_is_refused(self, pass_calls, f, y, passes):
         plan = SwapTestPlan(shots=100, seed=1)
         with pytest.raises(PostselectionError, match=r"support \(0,\)"):
             learn_sparse_fit(normalize_problem(f, y), 1, RunSettings(clock_size=256), plan,
                              seed=0)
-        assert len(calls) == passes
+        assert len(pass_calls) == passes
+
+
+class TestWideProblem:
+    """More fit functions than data points: refused before the eigensolve."""
+
+    # Normalized as a problem file stores it: sigma_max = 1, |y| = 1.
+    WIDE = FitProblem(
+        data_set=DataSet(x=np.arange(2.0), y=np.array([1.0, 0.0])),
+        basis=FitBasis(kind=BASIS_CUSTOM, m=3),
+        design_matrix=np.eye(2, 3, dtype=complex),
+        y=np.array([1.0, 0.0], dtype=complex),
+        scale_f=1.0,
+        scale_y=1.0,
+    )
+
+    def test_run_runs_no_pass(self, pass_calls):
+        with pytest.raises(SingularMatrixError, match="more columns than rows"):
+            estimate_fit_quality(self.WIDE, RunSettings(clock_size=64),
+                                 SwapTestPlan(shots=100, seed=1))
+        assert pass_calls == []
+
+    def test_learn_runs_no_pass(self, pass_calls):
+        with pytest.raises(SingularMatrixError, match="more columns than rows"):
+            learn_sparse_fit(self.WIDE, 2, RunSettings(clock_size=64),
+                             SwapTestPlan(shots=100, seed=1), seed=0)
+        assert pass_calls == []

@@ -221,6 +221,17 @@ class TestRun:
         # An explicit t0 below the aliasing limit still runs at T = 2.
         assert invoke(runner, [*args, "--t0", "1.0"]).exit_code == 0
 
+    @pytest.mark.parametrize("t0", [[], ["--t0", "1.0"]], ids=["auto-t0", "explicit-t0"])
+    def test_clock_size_not_a_power_of_two_names_the_rule(self, runner, worked_problem_file,
+                                                          tmp_path, t0):
+        # The settings refuse T = 3 before the automatic t0 sees it, so the
+        # error names the rule, not a --t0 that would not help.
+        args = ["run", "--problem", worked_problem_file, "-T", "3", *t0,
+                "--out", str(tmp_path / "x.json")]
+        payload = error_payload(runner.invoke(main, args))
+        assert payload == {"error": "ConfigError",
+                           "message": "clock size 3 must be a power of two >= 2"}
+
 
 class TestLearn:
     def test_planted_learn_report(self, runner, tmp_path):

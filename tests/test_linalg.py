@@ -201,6 +201,15 @@ class TestConditionEstimate:
         with pytest.raises(SingularMatrixError):
             condition_estimate([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_wide_matrix_is_refused_as_by_pseudoinverse(self):
+        # Both nonzero singular values are 1; a third column makes F wide.
+        wide = np.eye(2, 3)
+        with pytest.raises(SingularMatrixError, match="more columns than rows") as estimate:
+            condition_estimate(wide)
+        with pytest.raises(SingularMatrixError) as pinv:
+            pseudoinverse(wide)
+        assert str(pinv.value) == str(estimate.value)
+
 
 class TestSparsityProfile:
     def test_dense(self):
@@ -231,3 +240,25 @@ class TestMatrixJson:
     def test_missing_payload(self):
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 1, "cols": 1})
+
+    @pytest.mark.parametrize("obj", [
+        pytest.param({"rows": 2.9, "cols": 1, "triplets": []}, id="rows-float"),
+        pytest.param({"rows": "2", "cols": 1, "triplets": []}, id="rows-string"),
+        pytest.param({"rows": 2, "cols": 1.5, "triplets": []}, id="cols-float"),
+        pytest.param({"rows": 2, "cols": True, "triplets": []}, id="cols-bool"),
+        pytest.param({"rows": 2, "cols": 1, "triplets": [[0.7, 0, 1.0, 0.0]]}, id="index-float"),
+        pytest.param({"rows": 2, "cols": 1, "triplets": [[1, False, 2.0, 0.0]]},
+                     id="index-bool"),
+        pytest.param({"rows": 2.9, "cols": 1.5,
+                      "triplets": [[0.7, 0.2, 1.0, 0.0], [True, False, 2.0, 0.0]]},
+                     id="all-truncated"),
+    ])
+    def test_counts_and_indices_must_be_integers(self, obj):
+        with pytest.raises(SchemaError):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("triplet", [[0, 0, 1.0], [0, 0, 1.0, 0.0, 0.0], 7],
+                             ids=["three-items", "five-items", "number"])
+    def test_triplet_must_have_four_items(self, triplet):
+        with pytest.raises(SchemaError):
+            matrix_from_json({"rows": 1, "cols": 1, "triplets": [triplet]})

@@ -13,6 +13,7 @@ hypothesis is not installed.
 
 import copy
 import math
+from collections.abc import Hashable
 
 import pytest
 
@@ -43,7 +44,12 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 BAD_SCALES = st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
-PAIR_ELEMENTS = st.sampled_from([True, False, "1", None, [1.0, 0.0], 10**400, math.nan])
+# The nested list is held as a tuple and built anew on every draw: damage edits
+# the file in place, so a list held here would be shared by every draw and
+# changed by later damage, and data generation would depend on earlier examples.
+PAIR_ELEMENTS = st.sampled_from([True, False, "1", None, (1.0, 0.0), 10**400, math.nan]).map(
+    lambda value: list(value) if isinstance(value, tuple) else value
+)
 
 
 def _paths(node, prefix=()):
@@ -116,6 +122,18 @@ def test_damaged_problem_file_loads_consistently_or_raises_qfit_error(which, cou
         return
     assert problem.n == problem.y.size
     assert all(math.isfinite(c) and c > 0 for c in (problem.scale_f, problem.scale_y))
+
+
+def test_strategy_constants_hold_no_mutable_value():
+    # A sampled value is handed out by reference on every draw.
+    held = [
+        (name, element)
+        for name, strategy in sorted(globals().items())
+        if isinstance(strategy, st.SearchStrategy)
+        for element in getattr(strategy, "elements", ())
+        if not isinstance(element, Hashable)
+    ]
+    assert held == []
 
 
 @pytest.mark.parametrize("which", range(len(VALID)))

@@ -264,6 +264,13 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             problem_from_json(obj)
 
+    @pytest.mark.parametrize("m, stored", [(2, 2.0), (2, 2.5), (2, "2"), (1, True)])
+    def test_functional_basis_m_must_be_an_integer(self, m, stored):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=m, kind="poly"), 0))
+        obj["basis"]["m"] = stored
+        with pytest.raises(SchemaError, match="must be an integer"):
+            problem_from_json(obj)
+
     def test_y_length_differs_from_rows(self):
         obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
         obj["yVector"].append([0.0, 0.0])  # still unit norm
@@ -271,7 +278,8 @@ class TestProblemFiles:
             problem_from_json(obj)
 
     @pytest.mark.parametrize("slot", [0, 1])
-    @pytest.mark.parametrize("scale", [0.0, -0.5, float("inf"), float("nan")])
+    # A string or a bool is no JSON number, whatever float() makes of it.
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("inf"), float("nan"), "1.0", True])
     def test_norm_scale_not_finite_positive(self, slot, scale):
         obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
         obj["normScale"][slot] = scale
