@@ -16,9 +16,10 @@ reference on every run.
 
 Quality estimation applies one more multiply pass, turning the parameter
 state into the normalized projection of y onto the column space of F,
-and swap-tests it against the data state.  The residual bound reported
-is 2 * (1 - overlap); the exact normalized residual 1 - overlap^2 is
-attached for reference.
+and swap-tests it against the data state.  The reported ``eBound`` is
+2 * (1 - sqrt(o)), with o the swap-test estimate of the squared overlap:
+a point estimate, not a bound that holds with probability 1 - delta.  The
+exact normalized residual 1 - overlap^2 is attached for reference.
 
 Learning samples the parameter state to find the heaviest support,
 refits on that support alone, reconstructs the reduced parameter state
@@ -79,6 +80,9 @@ _VARIANT_MODES = {
 
 # Support-selection shot rule: ceil(alpha * m' * ln(m' + 1)).
 DEFAULT_SUPPORT_ALPHA = 20.0
+
+# Accuracy target of the tomography of the reduced parameter state.
+DEFAULT_TOMOGRAPHY_EPSILON = 0.05
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,7 @@ def learn_sparse_fit(
     seed: int,
     budget: tomography.TomographyBudget | None = None,
     alpha: float = DEFAULT_SUPPORT_ALPHA,
-    tomography_epsilon: float = 0.05,
+    tomography_epsilon: float = DEFAULT_TOMOGRAPHY_EPSILON,
 ) -> LearnReport:
     """Find the m' most relevant fit functions, refit, and reconstruct.
 

@@ -29,6 +29,8 @@ from typing import NoReturn
 import click
 
 from .algorithms import (
+    DEFAULT_SUPPORT_ALPHA,
+    DEFAULT_TOMOGRAPHY_EPSILON,
     RunSettings,
     VARIANT_FUSED,
     VARIANT_THREE_STAGE,
@@ -151,7 +153,7 @@ def main():
 
 @main.command()
 @click.option("--kind", type=click.Choice(["identity", "poly", "fourier", "random"]),
-              default="random", show_default=True)
+              default=ProblemSpec.kind, show_default=True)
 @click.option("--n", type=int, required=True, help="Number of data points.")
 @click.option("--m", type=int, required=True, help="Number of fit functions.")
 @click.option("--seed", type=int, default=None, help="Master seed (default: QFIT_SEED or 0).")
@@ -159,7 +161,7 @@ def main():
               help="Comma-separated support indices for a planted solution.")
 @click.option("--mass", type=float, default=0.95, show_default=True,
               help="Squared-norm fraction planted on the support.")
-@click.option("--noise", type=float, default=0.0, show_default=True,
+@click.option("--noise", type=float, default=ProblemSpec.noise, show_default=True,
               help="Additive complex-Gaussian noise amplitude on y.")
 @click.option("--condition-target", type=float, default=None,
               help="Target condition number (random kind) or feasibility cap.")
@@ -209,20 +211,20 @@ def oracle(problem_path, out):
 
 _COMMON_RUN_OPTIONS = [
     click.option("--problem", "problem_path", required=True, help="Problem file."),
-    click.option("-T", "--clock-size", "t", type=int, default=1024, show_default=True,
-                 help="Clock register size, a power of two >= 2."),
+    click.option("-T", "--clock-size", "t", type=int, default=RunSettings.clock_size,
+                 show_default=True, help="Clock register size, a power of two >= 2."),
     click.option("--t0", default="auto", show_default=True,
                  help="Total evolution time, or 'auto'."),
     click.option("--c", default="auto", show_default=True,
                  help="Rotation constant C, or 'auto' for the mode default."),
     click.option("--variant", type=click.Choice([VARIANT_THREE_STAGE, VARIANT_FUSED]),
-                 default=VARIANT_THREE_STAGE, show_default=True),
+                 default=RunSettings.variant, show_default=True),
     click.option("--window", type=click.Choice([WINDOW_UNIFORM, WINDOW_SINE]),
-                 default=WINDOW_UNIFORM, show_default=True),
+                 default=RunSettings.window, show_default=True),
     click.option("--shots", type=int, default=10000, show_default=True),
-    click.option("--delta", type=float, default=0.1, show_default=True,
+    click.option("--delta", type=float, default=SwapTestPlan.delta, show_default=True,
                  help="Swap-test accuracy target."),
-    click.option("--epsilon", type=float, default=0.01, show_default=True,
+    click.option("--epsilon", type=float, default=RunSettings.epsilon, show_default=True,
                  help="Phase-estimation accuracy target (drives auto t0)."),
     click.option("--seed", type=int, default=None,
                  help="Master seed (default: QFIT_SEED or 0)."),
@@ -271,9 +273,9 @@ def run(out, **options):
 @_with_options(_COMMON_RUN_OPTIONS)
 @click.option("--m-prime", type=int, required=True,
               help="Maximum number of fit functions kept.")
-@click.option("--alpha", type=float, default=20.0, show_default=True,
+@click.option("--alpha", type=float, default=DEFAULT_SUPPORT_ALPHA, show_default=True,
               help="Support-sampling shot multiplier.")
-@click.option("--tom-epsilon", type=float, default=0.05, show_default=True,
+@click.option("--tom-epsilon", type=float, default=DEFAULT_TOMOGRAPHY_EPSILON, show_default=True,
               help="Tomography reconstruction accuracy target.")
 def learn(out, m_prime, alpha, tom_epsilon, **options):
     """Learn a sparse parameter vector by support sampling and tomography."""
@@ -309,12 +311,12 @@ def _cost_csv(report_obj: dict) -> str:
 @click.option("--s", type=int, required=True)
 @click.option("--kappa", type=float, required=True)
 @click.option("--eps", type=float, required=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--m-prime", type=int, default=1, show_default=True)
+@click.option("--delta", type=float, default=CostQuery.delta, show_default=True)
+@click.option("--m-prime", type=int, default=CostQuery.m_prime, show_default=True)
 @click.option("--alg", type=click.Choice(sorted(ALGORITHM_ALIASES)), default="eq3",
               show_default=True, help="Cost formula variant.")
-@click.option("--amplified/--no-amplified", default=True, show_default=True,
-              help="Assume amplitude amplification where it helps.")
+@click.option("--amplified/--no-amplified", default=CostQuery.amplitude_amplification,
+              show_default=True, help="Assume amplitude amplification where it helps.")
 @click.option("--csv", "as_csv", is_flag=True, default=False,
               help="Emit a CSV header and row instead of JSON (sweep-friendly).")
 @click.option("--out", default=None, help="Output file (default stdout).")

@@ -236,21 +236,23 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
     if "entries" in obj:
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
-            raise SchemaError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        return as_complex_matrix(_complex_from_pairs(entries).reshape(rows, cols))
+        entries = _complex_from_pairs(obj["entries"], "matrix entries")
+        if entries.size != rows * cols:
+            raise SchemaError(f"expected {rows * cols} entries, got {entries.size}")
+        return as_complex_matrix(entries.reshape(rows, cols))
     if "triplets" in obj:
-        mat = np.zeros((rows, cols), dtype=complex)
-        for triplet in obj["triplets"]:
-            if not isinstance(triplet, list) or len(triplet) != 4:
-                raise SchemaError(f"triplet {triplet!r} is not [i, j, re, im]")
-            i, j, re, im = triplet
-            if type(i) is not int or type(j) is not int or not (0 <= i < rows and 0 <= j < cols):
-                raise SchemaError(f"triplet index ({i!r}, {j!r}) is not an integer pair in range")
-            mat[i, j] = complex(re, im)
+        try:
+            mat = np.zeros((rows, cols), dtype=complex)
+            for triplet in obj["triplets"]:
+                if not isinstance(triplet, list) or len(triplet) != 4:
+                    raise SchemaError(f"triplet {triplet!r} is not [i, j, re, im]")
+                i, j, re, im = triplet
+                if not (type(i) is int and type(j) is int and 0 <= i < rows and 0 <= j < cols):
+                    raise SchemaError(f"triplet index ({i!r}, {j!r}) is not an integer pair "
+                                      "in range")
+                mat[i, j] = complex(re, im)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed matrix triplets: {exc}") from exc
         return as_complex_matrix(mat)
     raise SchemaError("matrix object needs 'entries' or 'triplets'")
 
@@ -260,10 +262,7 @@ def vector_to_json(vector) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    try:
-        return as_complex_vector(_complex_from_pairs(obj))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError("vector must be a list of [re, im] pairs") from exc
+    return as_complex_vector(_complex_from_pairs(obj, "vector"))
 
 
 def _pairs(flat: np.ndarray) -> list:
@@ -271,11 +270,14 @@ def _pairs(flat: np.ndarray) -> list:
     return np.ascontiguousarray(flat).view(np.float64).reshape(-1, 2).tolist()
 
 
-def _complex_from_pairs(pairs) -> np.ndarray:
+def _complex_from_pairs(pairs, name: str) -> np.ndarray:
     """The 1-D complex array of a list of [re, im] pairs.
 
-    Raises TypeError, ValueError or OverflowError unless every item unpacks
-    into two real numbers.  ``complex(re, im)`` keeps the sign of a zero
-    imaginary part, which ``re + 1j * im`` would not.
+    Raises SchemaError, naming ``name``, unless every item unpacks into two
+    real numbers.  ``complex(re, im)`` keeps the sign of a zero imaginary
+    part, which ``re + 1j * im`` would not.
     """
-    return np.array([complex(re, im) for re, im in pairs])
+    try:
+        return np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} must be a list of [re, im] pairs") from exc

@@ -178,7 +178,8 @@ class ProblemSpec:
     ``planted_support`` is given, y = F lambda* + noise where lambda*
     carries ``planted_mass`` of its squared norm on the support, with
     per-entry magnitudes bounded away from zero so the support is
-    detectable by sampling.
+    detectable by sampling.  Otherwise y is complex-Gaussian noise, and a
+    ``noise`` above 0 is refused.
     """
 
     n: int
@@ -240,6 +241,8 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
         )
     if not (math.isfinite(spec.noise) and spec.noise >= 0):
         raise GenerationError(f"noise must be finite and >= 0, got {spec.noise}")
+    if spec.noise > 0 and spec.planted_support is None:
+        raise GenerationError("noise needs a planted support: without one y is pure noise")
     if spec.condition_target is not None and not math.isfinite(spec.condition_target):
         raise GenerationError(f"condition target must be finite, got {spec.condition_target}")
     rng = np.random.default_rng(seed)

@@ -327,6 +327,17 @@ class TestLearnSparseFit:
         assert report.truncation_degraded
         assert report.exact_reduced_residual > report.exact_full_residual
 
+    def test_small_residual_rise_is_degradation(self):
+        # 0.1 % of lambda's squared norm off the support: the reduced fit's
+        # residual rises by about 7e-4.
+        prob = self.planted(seed=21, mass=0.999)
+        report = learn_sparse_fit(
+            prob, 2, self.settings(), SwapTestPlan(shots=2000, seed=1), seed=21
+        )
+        assert report.recovered_support == (2, 5)
+        assert 1e-6 < report.exact_reduced_residual - report.exact_full_residual < 1e-2
+        assert report.truncation_degraded
+
     def test_m_prime_bounds(self):
         prob = generate_problem(ProblemSpec(n=4, m=2, kind="random"), seed=0)
         with pytest.raises(DimensionError):

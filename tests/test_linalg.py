@@ -218,6 +218,11 @@ class TestSparsityProfile:
     def test_diagonal(self):
         assert sparsity_profile(np.eye(4)) == 1
 
+    def test_small_entry_counts(self):
+        f = np.eye(4)
+        f[0, 2] = 1e-6
+        assert sparsity_profile(f) == 2
+
 
 class TestMatrixJson:
     def test_dense_roundtrip(self, rng):

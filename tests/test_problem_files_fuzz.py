@@ -6,7 +6,9 @@ swapped for JSON of another type, a list truncated, a scale made zero,
 negative or non-finite, one element of an [re, im] pair replaced by a
 bool, a string, null, a nested list, an integer too large for a float or
 NaN.  ``problem_from_json`` must then either return a problem whose row
-count matches its y vector, or raise a QfitError.
+count matches its y vector, or raise a QfitError.  Arbitrary JSON values,
+given to the matrix, vector and problem loaders directly, must each give
+a result or a QfitError.
 These are hypothesis property tests; the module is skipped where
 hypothesis is not installed.
 """
@@ -19,10 +21,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qfit.exceptions import QfitError  # noqa: E402
+from qfit.linalg import matrix_from_json, vector_from_json  # noqa: E402
 from qfit.problems import (  # noqa: E402
     ProblemSpec,
     generate_problem,
@@ -122,6 +125,46 @@ def test_damaged_problem_file_loads_consistently_or_raises_qfit_error(which, cou
         return
     assert problem.n == problem.y.size
     assert all(math.isfinite(c) and c > 0 for c in (problem.scale_f, problem.scale_y))
+
+
+# Objects take the keys of matrix and problem objects often, or a matrix's
+# counts with any payload, so that draws get past the loaders' first
+# lookups.  Integers are small, or too large for any array: a triplet
+# matrix is allocated at rows x cols before its triplets are read, so a pair
+# of counts in between would take the host's memory.
+KEYS = ("rows", "cols", "entries", "triplets", "schemaVersion", "dataSet", "x", "y",
+        "basis", "kind", "m", "designMatrix", "yVector", "normScale", "seed")
+INTEGERS = st.integers(-2, 4) | st.sampled_from([2**62, 10**400])
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=4)
+    | st.sampled_from(KEYS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner, max_size=5)
+    | st.fixed_dictionaries({"rows": INTEGERS, "cols": INTEGERS},
+                            optional={"entries": inner, "triplets": inner}),
+    max_leaves=12,
+)
+
+
+def _matrix(**payload):
+    return {"rows": 1, "cols": 1, **payload}
+
+
+@settings(max_examples=300, deadline=None, print_blob=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ANY_JSON)
+@example(_matrix(triplets=[[0, 0, "1", 0.0]]))
+@example(_matrix(triplets=[[0, 0, None, 0.0]]))
+@example(_matrix(triplets=5))
+@example(_matrix(entries=5))
+@example(_matrix(entries=[None]))
+@example(_matrix(entries=[[1]]))
+def test_loaders_return_or_raise_qfit_error_on_any_json(value):
+    for load in (matrix_from_json, vector_from_json, problem_from_json):
+        try:
+            load(value)
+        except QfitError:
+            pass
 
 
 def test_strategy_constants_hold_no_mutable_value():

@@ -178,6 +178,12 @@ class TestGenerateProblem:
         weights = np.abs(lam) ** 2
         assert np.argmax(weights) == 1
 
+    def test_noise_without_planted_support_is_refused(self):
+        # Unplanted, y is pure noise, so a noise amplitude would change nothing.
+        with pytest.raises(GenerationError, match="planted support"):
+            generate_problem(ProblemSpec(n=12, m=4, kind="poly", noise=0.3), seed=3)
+        generate_problem(ProblemSpec(n=12, m=4, kind="poly", noise=0.0), seed=3)
+
     def test_condition_target_random(self):
         from qfit.linalg import condition_estimate
 
@@ -247,9 +253,10 @@ class TestProblemFiles:
 
     def test_denormalized_y_rejected(self):
         obj = problem_to_json(generate_problem(ProblemSpec(n=2, m=2, kind="identity"), 0))
-        obj["yVector"] = [[5.0, 0.0], [0.0, 0.0]]
-        with pytest.raises(SchemaError):
-            problem_from_json(obj)
+        for norm in (5.0, 1.05):
+            obj["yVector"] = [[norm, 0.0], [0.0, 0.0]]
+            with pytest.raises(SchemaError, match="not normalized"):
+                problem_from_json(obj)
 
     def test_basis_not_an_object(self):
         obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), 0))

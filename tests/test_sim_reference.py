@@ -11,14 +11,18 @@ in either memory order.  The evolution takes its state in H's
 eigenbasis, as inside a pass, so it is checked wrapped in the pass's
 V^dag ... V; the pass itself is checked against a whole-pass reference
 in the system basis, also where eigenspaces are degenerate and their
-basis is arbitrary.  On states with one flag slice exactly zero the
-reflection, the evolution and the QFT must return that slice exactly
-zero and each live slice bit for bit as when the other slice holds
-amplitudes, and the rotation must equal its formula bit for bit.  A
-state that names its live flags must give every stage the output bytes
-of the same state that does not, and every slice outside an output's
-live flags must be exactly zero; no stage of a run may scan for live
-slices.  A state built with ``live_flags`` None must carry, once
+basis is arbitrary, and against the power-table reference that
+``scripts/flag_probability_error.py`` builds from the pass's inputs
+alone, with sigma_max on a clock bin, next to one or at a drawn share of
+the aliasing limit.  A long-clock pass's probabilities must lie close to
+that reference's exactly rounded sums.  On states with one flag slice
+exactly zero the reflection, the evolution and the QFT must return that
+slice exactly zero and each live slice bit for bit as when the other
+slice holds amplitudes, and the rotation must equal its formula bit for
+bit.  A state that names its live flags must give every stage the output
+bytes of the same state that does not, and every slice outside an
+output's live flags must be exactly zero; no stage of a run may scan for
+live slices.  A state built with ``live_flags`` None must carry, once
 constructed, the flags the scan finds, and no primitive may scan it
 again.  The window reflection of a clock-|0> state must equal the
 window state a pass writes directly.  A pass must return a unit vector
@@ -35,13 +39,14 @@ installed.
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import qfit.algorithms  # noqa: E402
@@ -93,6 +98,9 @@ from qfit.sim import (  # noqa: E402
 )
 
 from conftest import _haar, random_complex_matrix, random_complex_vector  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from flag_probability_error import pass_reference, recording  # noqa: E402
 
 CLOCKS = st.sampled_from([2**k for k in range(1, 9)])
 ORDERS = st.sampled_from(["C", "F"])
@@ -189,8 +197,9 @@ def _ref_pass(state, op, cfg, eig):
     s = _ref_conditional_evolution(s, eig, cfg, inverse=True)
     s = _ref_reflect_clock_window(s, window)
     s, flag_prob = _ref_postselect_flag(s)
-    s, clock_prob = postselect_clock_zero(s)
-    out = s.amplitudes[0, :, 1]
+    row = s.amplitudes[0, :, 1]
+    clock_prob = float(np.vdot(row, row).real)
+    out = row / np.sqrt(clock_prob)
     f = (lambda e: e) if cfg.mode == MODE_MULTIPLY else (lambda e: 1.0 / e)
     exact = apply_matrix_function(eig, f, psi_in)
     return out, flag_prob, clock_prob, phase_distance(out, exact / np.linalg.norm(exact))
@@ -324,6 +333,29 @@ def test_reductions_match_reference(t, d, seed, shots):
         extract_system_vector(_full_state(rng, t, d))
 
 
+# How t0 places sigma_max: at a drawn share of the aliasing limit T/2, on
+# the nearest bin below it, as automatic t0 does, or next to that bin.
+T0_KINDS = st.sampled_from(["share", "on-bin", "next-to-bin"])
+
+
+def _drawn_t0(kind, share, t, e_max):
+    """t0 with sigma_max * t0 / (2*pi) below the aliasing limit T/2."""
+    if kind == "share":
+        return share * np.pi * t / e_max
+    bins = min(max(round(share * t / 2), 1), t // 2 - 1)
+    assume(bins >= 1)  # T = 2 has no bin below the limit
+    t0 = 2.0 * np.pi * bins / e_max
+    return t0 if kind == "on-bin" else t0 * (1 + 1e-9)
+
+
+def _assert_matches_table_reference(out, info, psi, eig, cfg):
+    """A pass's output and probabilities against those of its power table."""
+    ref_out, ref_flag, ref_clock = pass_reference(psi, eig, cfg)
+    assert np.linalg.norm(out - ref_out) <= TOL
+    assert abs(info.flag_probability - ref_flag) <= TOL
+    assert abs(info.clock_zero_probability - ref_clock) <= TOL
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t=CLOCKS,
@@ -331,21 +363,22 @@ def test_reductions_match_reference(t, d, seed, shots):
     m=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
     t0_share=st.floats(0.05, 0.99),
+    t0_kind=T0_KINDS,
     window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
     mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
 )
-def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, window, mode):
+def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, t0_kind, window,
+                                                 mode):
     rng = np.random.default_rng(seed)
     op = embed(random_complex_matrix(rng, max(n, m), min(n, m), kappa_max=10.0))
     eig = eig_hermitian(op)
     e_max = float(np.max(np.abs(eig.eigenvalues)))
-    # t0 below the aliasing limit sigma_max * t0 / (2*pi) < T/2.
-    t0 = t0_share * np.pi * t / e_max
-    cfg = PhaseEstimationConfig(clock_size=t, t0=t0,
+    cfg = PhaseEstimationConfig(clock_size=t, t0=_drawn_t0(t0_kind, t0_share, t, e_max),
                                 rotation_scale=default_rotation_scale(mode, eig.eigenvalues),
                                 mode=mode, window=window)
     layout = RegisterLayout(clock_size=t, system_dim=op.dim)
-    state = state_from_system_vector(random_complex_vector(rng, op.dim), layout)
+    psi = random_complex_vector(rng, op.dim)
+    state = state_from_system_vector(psi, layout)
     held = state.amplitudes.tobytes()
     out, info = apply_hermitian_via_pe(state, eig, cfg)
     assert state.amplitudes.tobytes() == held
@@ -355,6 +388,7 @@ def test_full_pass_matches_reference_composition(t, n, m, seed, t0_share, window
     assert abs(info.flag_probability - ref_flag) <= TOL
     assert abs(info.clock_zero_probability - ref_clock) <= TOL
     assert abs(info.oracle_distance - ref_distance) <= TOL
+    _assert_matches_table_reference(out, info, psi, eig, cfg)
 
 
 def _mixed_within_eigenspaces(rng, eig):
@@ -374,11 +408,12 @@ def _mixed_within_eigenspaces(rng, eig):
     levels=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     t0_share=st.floats(0.05, 0.99),
+    t0_kind=T0_KINDS,
     window=st.sampled_from([WINDOW_UNIFORM, WINDOW_SINE]),
     mode=st.sampled_from([MODE_MULTIPLY, MODE_INVERT]),
 )
 def test_eigenbasis_pass_matches_reference_on_repeated_singular_values(
-        t, n, m, levels, seed, t0_share, window, mode):
+        t, n, m, levels, seed, t0_share, t0_kind, window, mode):
     # Repeated singular values of F give eigenspaces of H of dimension
     # two or more, where the eigenbasis is arbitrary; so is the kernel.
     rng = np.random.default_rng(seed)
@@ -389,11 +424,12 @@ def test_eigenbasis_pass_matches_reference_on_repeated_singular_values(
     op = embed(f)
     eig = eig_hermitian(op)
     e_max = float(np.max(np.abs(eig.eigenvalues)))
-    cfg = PhaseEstimationConfig(clock_size=t, t0=t0_share * np.pi * t / e_max,
+    cfg = PhaseEstimationConfig(clock_size=t, t0=_drawn_t0(t0_kind, t0_share, t, e_max),
                                 rotation_scale=default_rotation_scale(mode, eig.eigenvalues),
                                 mode=mode, window=window)
     layout = RegisterLayout(clock_size=t, system_dim=op.dim)
-    state = state_from_system_vector(random_complex_vector(rng, op.dim), layout)
+    psi = random_complex_vector(rng, op.dim)
+    state = state_from_system_vector(psi, layout)
     ref_out, ref_flag, ref_clock, ref_distance = _ref_pass(state, op, cfg, eig)
     for basis in (eig, _mixed_within_eigenspaces(rng, eig)):
         out, info = apply_hermitian_via_pe(state, basis, cfg)
@@ -401,6 +437,7 @@ def test_eigenbasis_pass_matches_reference_on_repeated_singular_values(
         assert abs(info.flag_probability - ref_flag) <= TOL
         assert abs(info.clock_zero_probability - ref_clock) <= TOL
         assert abs(info.oracle_distance - ref_distance) <= TOL
+        _assert_matches_table_reference(out, info, psi, basis, cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -792,29 +829,18 @@ def test_flag_probability_is_close_to_an_exactly_rounded_sum(monkeypatch):
     # The projection pass of a long-clock run on the problem of the
     # benchmark's fourth run-long-clock input: the clock is almost back at
     # |0>, and one sequential sum over the strided flag-1 elements of a
-    # C-ordered (T, D, 2) array ends 2e-12 relative off here.
+    # C-ordered (T, D, 2) array ends 2e-12 relative off here.  The exactly
+    # rounded reference is built from the pass's inputs alone.
     problem, run_settings = _long_clock_run(VARIANT_FUSED)
-    # The pass's flag-1 branch is that of its one uncompute_clock output,
-    # and the probability it reports is in the pass info it returns.
-    outputs, infos = [], []
-
-    def uncompute(*args):
-        out = uncompute_clock(*args)
-        outputs.append(out)
-        return out
-
-    def apply(*args, **kwargs):
-        out, info = apply_hermitian_via_pe(*args, **kwargs)
-        infos.append(info)
-        return out, info
-
-    monkeypatch.setattr(qfit.sim, "uncompute_clock", uncompute)
-    monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe", apply)
+    passes = []
+    monkeypatch.setattr(qfit.algorithms, "apply_hermitian_via_pe",
+                        recording(apply_hermitian_via_pe, passes))
     estimate_fit_quality(problem, run_settings, SwapTestPlan(shots=1))
-    assert len(outputs) == len(infos) == 2
-    state, prob = outputs[-1], infos[-1].flag_probability
-    assert state.amplitudes.shape == (LONG_CLOCK, LONG_DIM, 2)
-    assert abs(prob - _fsum_prob(state)) <= FSUM_TOL * prob
+    assert len(passes) == 2
+    psi, eig, cfg, _, info = passes[-1]
+    _, ref_flag, ref_clock = pass_reference(psi, eig, cfg)
+    assert abs(info.flag_probability - ref_flag) <= FSUM_TOL * ref_flag
+    assert abs(info.clock_zero_probability - ref_clock) <= FSUM_TOL * ref_clock
 
 
 def _max_error(table, exact):
