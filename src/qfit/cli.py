@@ -11,16 +11,17 @@ Failures exit nonzero after printing a machine-readable error object
 group, does that for every QfitError, OSError and MemoryError a command
 raises.
 
-Memory: on glibc, each command first sets the process's malloc policy so
-that the state-sized arrays a phase-estimation pass frees stay in the
+Memory: on glibc, the first command in a process sets its malloc policy
+so that the state-sized arrays a phase-estimation pass frees stay in the
 heap for the next stage instead of going back to the kernel and faulting
 in anew.  The heap then keeps up to 64 MiB free.  The setting is
 process-wide, so it stays in force after ``main`` returns when ``main``
-runs in-process.
+runs in-process, and later commands there do not set it again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -94,6 +95,7 @@ def _parse_auto(value: str, name: str) -> float | None:
         raise click.BadParameter(f"{name} must be a number or 'auto'") from exc
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
     """Keep freed arrays in the heap, where the next allocation reuses them.
 
@@ -103,8 +105,8 @@ def _keep_freed_memory() -> None:
     faults.  One arena serves every thread, so the worker threads of a
     split pass (``sim._by_rows``) reuse that heap instead of growing arenas
     of their own.  This is process-wide: it stays in force for the rest of the
-    process, also when ``main`` runs in-process.  Where the C library has
-    no ``mallopt`` (macOS, Windows) this does nothing.
+    process, also when ``main`` runs in-process, so it runs once per process.
+    Where the C library has no ``mallopt`` (macOS, Windows) this does nothing.
     """
     import ctypes
 

@@ -359,6 +359,8 @@ def problem_from_json(obj: dict) -> FitProblem:
         )
     if not all(np.isfinite(c) and c > 0 for c in (scale_f, scale_y)):
         raise SchemaError("problem file normScale entries must be finite and positive")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise SchemaError(f"problem file seed must be an integer >= 0 or null, got {seed!r}")
     problem = FitProblem(
         data_set=data_set,
         basis=FitBasis(kind=kind, m=m),

@@ -60,9 +60,11 @@ and the flag postselection stream whole clock rows.  The primitives
 accept either layout.
 
 One helper, ``_written_state``, writes every state whose clock rows a
-stage writes whole: it allocates the output, zeroes its dead flag slices
-(see "Flag slices"), splits the live ones into row blocks (see
-"Threads") and wraps the result.  It allocates the output before the
+stage writes whole: it allocates the output, splits its system rows into
+blocks (see "Threads"), each of which zeroes its rows of the dead flag
+slices (see "Flag slices") and writes its rows of the live ones, and
+wraps the result.  The QFT's FFT writes straight into those rows, with
+no full-size result to copy.  It allocates the output before the
 clock-length arrays the stage builds for its write (the rotation
 weights, the reflection's conjugated window): built first, such arrays
 can take heap room a freed state left and push the output above it,
@@ -75,8 +77,9 @@ transforms the two flag slices ``amplitudes.T[0]`` and
 ``amplitudes.T[1]`` independently.  So a slice that is exactly zero
 stays exactly zero: the reflection, the evolution and the QFT compute
 only the slices that hold a nonzero amplitude and write exact zeros into
-the other, and the rotation drops the terms of a zero flag-1 input.
-Skipping a zero slice changes no bit of the live one.
+the other, each row block into its own rows, and the rotation drops the
+terms of a zero flag-1 input.  Skipping a zero slice changes no bit of
+the live one.
 
 Every state names its live slices in ``QuantumState.live_flags``, so no
 stage scans a slice to learn that it is zero.  Every state built here
@@ -110,13 +113,14 @@ operator.
 Threads
 -------
 Every stage acts on each system row of a flag slice on its own, so
-``_written_state`` has ``_by_rows`` split the D rows of each live slice
-into one block per CPU.  A block computes exactly what the unsplit call
-computes for its rows, and the phase table, the window overlaps and
-every sum stay on the calling thread, so no bit depends on the CPU
-count.  Blocks hold at least 2**17 amplitudes: on a 2-CPU host two threads took
-an 8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass at D = 64,
-T = 1024 was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
+``_written_state`` has ``_by_rows`` split the D rows into one block per
+CPU; on its own thread, each block zeroes its rows of the dead slices and
+writes its rows of the live ones.  A block computes exactly what the
+unsplit call computes for its rows, and the phase table, the window
+overlaps and every sum stay on the calling thread, so no bit depends on
+the CPU count.  Blocks hold at least 2**17 amplitudes: on a 2-CPU host
+two threads took an 8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass
+at D = 64, T = 1024 was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
 
 Every operation is pure: states are treated as immutable and new arrays
 are returned.  Only postselection is non-unitary; it reports the exact
@@ -214,20 +218,24 @@ def _written_state(layout: RegisterLayout, live: tuple[int, ...], write,
                    operands=tuple) -> QuantumState:
     """A new state on ``layout`` whose live flag slices ``write`` fills.
 
-    Allocates the clock-contiguous output, zeroes the flag slices not in
-    ``live``, builds ``operands()``, and runs ``write(f, rows, out,
-    *operands)`` on the row blocks of each live slice ``out[f]``
-    (``_by_rows``).  Clock-length arrays a stage builds only for its write
-    belong in ``operands``, which are allocated after the output (see
-    "Memory order").
+    Allocates the clock-contiguous output, builds ``operands()``, and
+    splits the D system rows into blocks (``_by_rows``).  Each block zeroes
+    its rows of the flag slices not in ``live``, then runs ``write(f,
+    rows, out, *operands)`` for each live slice ``out[f]``.  Clock-length
+    arrays a stage builds only for its write belong in ``operands``, which
+    are allocated after the output (see "Memory order").
     """
     out = np.empty((2, layout.system_dim, layout.clock_size), dtype=complex)
-    for f in range(2):
-        if f not in live:
-            out[f] = 0
     extra = operands()
-    for f in live:
-        _by_rows(lambda r: write(f, r, out, *extra), layout.system_dim, layout.clock_size)
+
+    def block(r):
+        for f in range(2):
+            if f not in live:
+                out[f, r] = 0
+        for f in live:
+            write(f, r, out, *extra)
+
+    _by_rows(block, layout.system_dim, layout.clock_size)
     return QuantumState(layout=layout, amplitudes=out.T, live_flags=live)
 
 
@@ -531,8 +539,8 @@ def qft_clock(state: QuantumState, direction: str = "forward") -> QuantumState:
     else:
         raise ConfigError(f"unknown QFT direction {direction!r}")
     amp_t = state.amplitudes.T
-    return _written_state(state.layout, state.live_flags, lambda f, r, out: np.copyto(
-        out[f, r], transform(amp_t[f, r], norm="ortho")))
+    return _written_state(state.layout, state.live_flags, lambda f, r, out: transform(
+        amp_t[f, r], norm="ortho", out=out[f, r]))
 
 
 def decode_eigenvalue(k, clock_size: int, t0: float):

@@ -480,3 +480,20 @@ def test_repeated_runs_reuse_freed_memory(runner, tmp_path):
         assert invoke(runner, args).exit_code == 0
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[-1] < 1000, faults
+
+
+def test_allocator_policy_is_set_once_per_process(runner, monkeypatch):
+    """The malloc policy is process-wide, so a second invocation loads no library."""
+    loads = []
+    cdll = ctypes.CDLL
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
+    qfit.cli._keep_freed_memory.cache_clear()
+    args = ["generate", "--kind", "poly", "--n", "4", "--m", "2", "--out", "-"]
+    for _ in range(2):
+        assert invoke(runner, args).exit_code == 0
+    assert loads == [(None,)]

@@ -278,6 +278,18 @@ class TestProblemFiles:
         with pytest.raises(SchemaError, match="must be an integer"):
             problem_from_json(obj)
 
+    @pytest.mark.parametrize("seed, accepted", [
+        (2.0, False), ("1", False), (True, False), ({"x": 1}, False), (-1, False),
+        (None, True), (7, True)])
+    def test_seed_must_be_a_nonnegative_integer_or_null(self, seed, accepted):
+        obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="poly"), 0))
+        obj["seed"] = seed
+        if accepted:
+            assert problem_from_json(obj).seed == seed
+        else:
+            with pytest.raises(SchemaError, match="seed must be an integer"):
+                problem_from_json(obj)
+
     def test_y_length_differs_from_rows(self):
         obj = problem_to_json(generate_problem(ProblemSpec(n=4, m=2, kind="random"), 0))
         obj["yVector"].append([0.0, 0.0])  # still unit norm

@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ def _forced(monkeypatch, cpus):
     monkeypatch.setattr(sim, "_MIN_BLOCK", 1)
 
 
-def _pass_bytes(problem, mode, window):
-    """The bytes of a pass's output vector and of every field of its diagnostics."""
+def _pass_inputs(problem, mode, window):
+    """The eigensystem, config and layout of a T-clock pass over ``problem``."""
     eig = eig_hermitian(embed(problem.design_matrix))
     sigma_max = np.max(np.abs(eig.eigenvalues))
     config = PhaseEstimationConfig(
@@ -45,7 +46,12 @@ def _pass_bytes(problem, mode, window):
         mode=mode,
         window=window,
     )
-    layout = RegisterLayout(clock_size=T, system_dim=problem.m + problem.n)
+    return eig, config, RegisterLayout(clock_size=T, system_dim=problem.m + problem.n)
+
+
+def _pass_bytes(problem, mode, window):
+    """The bytes of a pass's output vector and of every field of its diagnostics."""
+    eig, config, layout = _pass_inputs(problem, mode, window)
     vector, info = apply_hermitian_via_pe(prepare_data_state(problem, layout), eig, config)
     fields = np.array([getattr(info, f.name) for f in dataclasses.fields(info)])
     return vector.tobytes(), fields.tobytes()
@@ -78,6 +84,59 @@ def test_pass_is_bit_identical_at_any_block_count(monkeypatch, rng, mode, window
     d = n + m
     expected = {(0, 2), (2, 4), (4, 7)} if d == 7 else {(0, 1), (1, 2)}
     assert set(blocks) == expected
+
+
+# Every stage that writes through sim._written_state, as stage(inputs, state).
+STAGES = {
+    "window": lambda p, s: sim._windowed_state(p.coords, p.window, p.layout),
+    "evolution": lambda p, s: sim.conditional_evolution(s, p.eig, p.config),
+    "inverse-evolution": lambda p, s: sim.conditional_evolution(s, p.eig, p.config,
+                                                                inverse=True),
+    "forward-qft": lambda p, s: sim.qft_clock(s, "forward"),
+    "inverse-qft": lambda p, s: sim.qft_clock(s, "inverse"),
+    "rotated-flag-one": lambda p, s: sim._rotated_flag_one(s, p.config),
+    "rotation": lambda p, s: sim.controlled_rotation(s, p.config),
+    "reflection": lambda p, s: sim.reflect_clock_window(s, p.window),
+    "flag-postselection": lambda p, s: sim.postselect_flag(s)[0],
+}
+TWO_INPUTS = ["evolution", "inverse-evolution", "forward-qft", "inverse-qft", "rotation",
+              "reflection"]
+
+
+@pytest.mark.parametrize(
+    "stage, live_in",
+    [(name, flag) for name in TWO_INPUTS for flag in (0, 1)]
+    + [("window", 0), ("rotated-flag-one", 0), ("flag-postselection", 1)])
+def test_split_stages_zero_their_dead_slices(monkeypatch, rng, stage, live_in):
+    """Each block zeroes its own rows of a dead slice; no row keeps what np.empty held."""
+    problem = normalize_problem(random_complex_matrix(rng, 4, 3, kappa_max=4.0),
+                                random_complex_vector(rng, 4))
+    eig, config, layout = _pass_inputs(problem, MODE_INVERT, WINDOW_SINE)
+    p = types.SimpleNamespace(eig=eig, config=config, layout=layout,
+                              window=sim.clock_window(T, WINDOW_SINE),
+                              coords=eig.eigenvectors.conj().T @ sim.data_state_vector(problem))
+    state = sim._windowed_state(p.coords, p.window, layout)  # flag 0 live
+    if live_in == 1:
+        state = sim._rotated_flag_one(state, config)
+    whole = STAGES[stage](p, state)
+
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "c":
+            out.fill(complex(np.nan, np.nan))
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    _forced(monkeypatch, 3)
+    split = STAGES[stage](p, state)
+    assert split.live_flags == whole.live_flags
+    for f in range(2):
+        if f in split.live_flags:
+            assert split.amplitudes.T[f].tobytes() == whole.amplitudes.T[f].tobytes()
+        else:
+            assert (split.amplitudes.T[f] == 0).all()
 
 
 def test_small_slices_run_whole_on_the_calling_thread(monkeypatch):

@@ -329,8 +329,13 @@ def test_reductions_match_reference(t, d, seed, shots):
         measure_computational(vector, shots, seed),
         np.random.default_rng(seed).multinomial(shots, probs / probs.sum()),
     )
-    with pytest.raises(DimensionError):
-        extract_system_vector(_full_state(rng, t, d))
+    # 0.505 * psi on clock rows 0 and 1: its clock sum has norm 1.01.
+    spread = np.zeros((t, d, 2), dtype=complex)
+    spread[:2, :, 0] = 0.505 * vector
+    for entangled in (_full_state(rng, t, d),
+                      QuantumState(layout=single.layout, amplitudes=spread)):
+        with pytest.raises(DimensionError):
+            extract_system_vector(entangled)
 
 
 # How t0 places sigma_max: at a drawn share of the aliasing limit T/2, on
