@@ -63,12 +63,12 @@ One helper, ``_written_state``, writes every state whose clock rows a
 stage writes whole: it allocates the output, splits its system rows into
 blocks (see "Threads"), each of which zeroes its rows of the dead flag
 slices (see "Flag slices") and writes its rows of the live ones, and
-wraps the result.  The QFT's FFT writes straight into those rows, with
-no full-size result to copy.  It allocates the output before the
-clock-length arrays the stage builds for its write (the rotation
-weights, the reflection's conjugated window): built first, such arrays
-can take heap room a freed state left and push the output above it,
-which added 1 MB to the peak resident memory of four T = 65536 runs.
+wraps the result.  The QFT's FFT and the evolution's phase rows go
+straight into those rows, with no full-size result to copy.  The output
+is allocated before the clock-length arrays a stage builds for its write
+(the rotation weights, the reflection's window arrays): built first,
+they can take heap room a freed state left and push the output above
+it, which added 1 MB to the peak resident memory of four T = 65536 runs.
 
 Flag slices
 -----------
@@ -102,13 +102,15 @@ probability from that slice's clock-0 row, where they lie.
 Pass constants
 --------------
 Every pass of one run shares H's spectrum, T, t0 and the window, so the
-constants built from them are built once per run: the long-double-reduced
-phase factors of ``_phase_table`` and the clock window.  One memo entry
-holds them, keyed on the spectrum's exact bytes, T, t0 and the window
-name, and returns them read-only.  It keeps only the factors, never a
-D x T table, so no full-clock array outlives the call that forms it; and
-a single entry keyed on the spectrum is hit only by passes over the same
-operator.
+constants built from them are built once per run: the clock window and
+the long-double-reduced factors of the evolution's phases.  With
+tau = b*h + l and b = 2**floor(log2(T)/2), E_j's phase at tau is
+``high[j, h] * low[j, l]``, so D*(T/b + b) exponentials give all D*T
+phases.  Each row block of the evolution writes its rows of that outer
+product straight into its output rows; no D x T table is ever formed.
+One memo entry holds the factors, keyed on the spectrum's exact bytes,
+T, t0 and the window name, and returns them read-only; a single entry
+keyed on the spectrum is hit only by passes over the same operator.
 
 Threads
 -------
@@ -116,11 +118,12 @@ Every stage acts on each system row of a flag slice on its own, so
 ``_written_state`` has ``_by_rows`` split the D rows into one block per
 CPU; on its own thread, each block zeroes its rows of the dead slices and
 writes its rows of the live ones.  A block computes exactly what the
-unsplit call computes for its rows, and the phase table, the window
-overlaps and every sum stay on the calling thread, so no bit depends on
-the CPU count.  Blocks hold at least 2**17 amplitudes: on a 2-CPU host
-two threads took an 8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass
-at D = 64, T = 1024 was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
+unsplit call computes for its rows: each phase row is elementwise in its
+factors, so a block forms its own, and the window overlaps and every sum
+stay on the calling thread, so no bit depends on the CPU count.  Blocks
+hold at least 2**17 amplitudes: on a 2-CPU host two threads took an
+8 x 65536 inverse QFT from 9.8 to 5.1 ms, but a pass at D = 64, T = 1024
+was no faster split (5.8-6.0 ms against 5.9-6.4 ms).
 
 Every operation is pure: states are treated as immutable and new arrays
 are returned.  Only postselection is non-unitary; it reports the exact
@@ -423,26 +426,28 @@ def reflect_clock_window(state: QuantumState, window: np.ndarray) -> QuantumStat
     Used for both window preparation (clock at |0>) and its adjoint during
     uncomputation; being a Householder reflection it is exactly unitary.
     """
-    t = state.layout.clock_size
-    if window.shape != (t,):
+    if window.shape != (state.layout.clock_size,):
         raise DimensionError("window length does not match clock size")
-    v = window.astype(complex)
-    v[0] -= 1.0
-    vnorm_sq = float(np.vdot(v, v).real)
     amp_t = state.amplitudes.T
-    if vnorm_sq < 1e-30:  # window is |0> itself
-        return _written_state(state.layout, state.live_flags,
-                              lambda f, r, out: np.copyto(out[f, r], amp_t[f, r]))
-    scaled = (-2.0 / vnorm_sq) * v
 
-    def write(f, r, out, overlaps):
-        # The rank-one term, then the input added in place.
-        np.add(np.multiply(overlaps[f][r, None], scaled, out=out[f, r]), amp_t[f, r],
-               out=out[f, r])
+    def operands():
+        # v = window - |0>, after the output is allocated (see "Memory order").
+        v = window.astype(complex)
+        v[0] -= 1.0
+        vnorm_sq = float(np.vdot(v, v).real)
+        if vnorm_sq < 1e-30:  # window is |0> itself
+            return None, None
+        overlaps = {f: amp_t[f] @ v.conj() for f in state.live_flags}
+        return (-2.0 / vnorm_sq) * v, overlaps
 
-    # Each live slice's overlap with v, shape (D,), after the output is allocated.
-    return _written_state(state.layout, state.live_flags, write,
-                          lambda: ({f: amp_t[f] @ v.conj() for f in state.live_flags},))
+    def write(f, r, out, scaled, overlaps):
+        if scaled is None:
+            np.copyto(out[f, r], amp_t[f, r])
+        else:  # the rank-one term, then the input added in place
+            np.add(np.multiply(overlaps[f][r, None], scaled, out=out[f, r]), amp_t[f, r],
+                   out=out[f, r])
+
+    return _written_state(state.layout, state.live_flags, write, operands)
 
 
 # --- pipeline primitives -------------------------------------------------------
@@ -457,31 +462,25 @@ def conditional_evolution(
     """Apply exp(-i*H*tau*t0/T) on each clock branch tau (exact, spectral).
 
     The state's system register is written in ``eig``'s eigenbasis, where
-    the evolution is diagonal: each live flag slice is multiplied by the
-    phase table, one phase per eigenvalue and clock step.
+    the evolution is diagonal: each row block writes its phase rows into
+    its output rows and multiplies them in place by the input (see "Pass
+    constants").  Forward rows come from conjugated factors, so they are
+    exactly the conjugate of the inverse ones.
     """
     if eig.eigenvectors.shape[0] != state.layout.system_dim:
         raise DimensionError("operator dimension does not match system register")
     amp_t = state.amplitudes.T
-    table = _phase_table(eig.eigenvalues, config, inverse)
-    return _written_state(state.layout, state.live_flags,
-                          lambda f, r, out: np.multiply(amp_t[f, r], table[r], out=out[f, r]))
-
-
-def _phase_table(eigenvalues, config: PhaseEstimationConfig, inverse: bool) -> np.ndarray:
-    """exp(-i*E_j*tau*t0/T) as a (D, T) table, exp(+i*...) if ``inverse``.
-
-    Splits tau = b*h + l with b = 2**floor(log2(T)/2), so the table is the
-    outer product of D*(T/b + b) complex exponentials instead of D*T.
-    Those factors come from ``_pass_constants``, built once per spectrum,
-    T and t0; only the D x T product is formed on every call.  The
-    forward table is built from conjugated factors, so it is exactly the
-    conjugate of the inverse one.
-    """
-    high, low, _ = _pass_constants(eigenvalues, config)
+    high, low, _ = _pass_constants(eig.eigenvalues, config)
     if not inverse:
         high, low = high.conj(), low.conj()
-    return (high[:, :, None] * low[:, None, :]).reshape(len(high), config.clock_size)
+
+    def write(f, r, out):
+        rows = out[f, r]  # contiguous, so the reshape is a view of it
+        np.multiply(high[r, :, None], low[r, None, :],
+                    out=rows.reshape(high[r].shape + low.shape[1:]))
+        np.multiply(amp_t[f, r], rows, out=rows)
+
+    return _written_state(state.layout, state.live_flags, write)
 
 
 def _pass_constants(

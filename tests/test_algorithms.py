@@ -428,6 +428,27 @@ class TestLearnSparseFit:
                              seed=0)
         assert len(pass_calls) == passes
 
+    def test_reduced_parameter_sector_without_weight_is_refused(self, monkeypatch):
+        # A reduced preparation whose parameter sector is exactly zero has no
+        # direction to reconstruct: refused before tomography divides by its norm.
+        prepare = qfit.algorithms._prepare
+        supports = []
+
+        def zero_reduced_parameters(problem, settings, delta, algorithm, m_prime, support):
+            prep, *rest = prepare(problem, settings, delta, algorithm, m_prime, support)
+            supports.append(support)
+            if len(supports) == 2:
+                vector = prep.system_vector.copy()
+                vector[: problem.m] = 0
+                prep = replace(prep, system_vector=vector)
+            return (prep, *rest)
+
+        monkeypatch.setattr(qfit.algorithms, "_prepare", zero_reduced_parameters)
+        with pytest.raises(PostselectionError, match="reduced parameter sector carries no weight"):
+            learn_sparse_fit(self.planted(seed=21), 2, self.settings(),
+                             SwapTestPlan(shots=500, seed=5), seed=21)
+        assert supports == [tuple(range(8)), (2, 5)]
+
 
 class TestWideProblem:
     """More fit functions than data points: refused before the eigensolve."""

@@ -26,11 +26,12 @@ live slices.  A state built with ``live_flags`` None must carry, once
 constructed, the flags the scan finds, and no primitive may scan it
 again.  The window reflection of a clock-|0> state must equal the
 window state a pass writes directly.  A pass must return a unit vector
-and leave its input state as it was; a long-clock pass must hold no
-full-size array it has finished with, and a long-clock run no state
-between its passes.
-The memoized pass constants must give every phase table and window bit
-for bit as a build without the memo, in any order of queries, stay
+and leave its input state as it was; at a long clock the reflection and
+the evolution must each allocate about one state, a pass must hold no
+full-size array it has finished with, and a run no state between its
+passes.
+The memoized pass constants must give every phase table, read through
+the evolution, and every window bit for bit as a build without the memo, in any order of queries, stay
 read-only, and be built once per distinct operator of a run.  Most are
 hypothesis property tests; the module is skipped where hypothesis is not
 installed.
@@ -76,7 +77,6 @@ from qfit.sim import (  # noqa: E402
     RegisterLayout,
     SwapTestPlan,
     _pass_constants,
-    _phase_table,
     _rotated_flag_one,
     _windowed_state,
     apply_hermitian_via_pe,
@@ -722,6 +722,22 @@ def _long_clock_config(eigenvalues):
                                  mode=MODE_MULTIPLY)
 
 
+def _evolution_table(eigenvalues, cfg, inverse):
+    """The (D, T) phase table: ``conditional_evolution`` of 1 in every flag-0 amplitude.
+
+    With identity eigenvectors the eigenbasis is the system basis, so each
+    output row is that eigenvalue's row of phases.
+    """
+    d, t = len(eigenvalues), cfg.clock_size
+    amp = np.zeros((t, d, 2), dtype=complex, order="F")
+    amp[:, :, 0] = 1.0
+    state = QuantumState(layout=RegisterLayout(clock_size=t, system_dim=d), amplitudes=amp,
+                         live_flags=(0,))
+    eig = EigDecomposition(eigenvalues=np.asarray(eigenvalues),
+                           eigenvectors=np.eye(d, dtype=complex))
+    return conditional_evolution(state, eig, cfg, inverse=inverse).amplitudes.T[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t=st.sampled_from([2**k for k in range(1, 17)]),
@@ -732,14 +748,14 @@ def _long_clock_config(eigenvalues):
 def test_inverse_table_is_the_exact_conjugate(t, d, seed, t0):
     eigenvalues = np.random.default_rng(seed).uniform(-1.0, 1.0, size=d)
     cfg = PhaseEstimationConfig(clock_size=t, t0=t0, rotation_scale=1.0, mode=MODE_MULTIPLY)
-    forward = _phase_table(eigenvalues, cfg, inverse=False)
+    forward = _evolution_table(eigenvalues, cfg, inverse=False)
     assert forward.shape == (d, t)
-    np.testing.assert_array_equal(_phase_table(eigenvalues, cfg, inverse=True),
+    np.testing.assert_array_equal(_evolution_table(eigenvalues, cfg, inverse=True),
                                   forward.conj())
 
 
 def _unmemoized_table(eigenvalues, cfg, inverse):
-    """The phase table as ``_phase_table`` builds it, without the memo."""
+    """The phase table as ``conditional_evolution`` forms it, without the memo."""
     t = cfg.clock_size
     b = 1 << ((t.bit_length() - 1) // 2)
     step = np.asarray(eigenvalues, dtype=np.longdouble)[:, None] * (cfg.t0 / t)
@@ -774,7 +790,7 @@ def test_memoized_tables_and_windows_match_unmemoized_builds(seed, queries):
         cfg = PhaseEstimationConfig(clock_size=t, t0=float(t0s[t0]), rotation_scale=1.0,
                                     mode=MODE_MULTIPLY, window=window)
         eigenvalues = spectra[spectrum]
-        np.testing.assert_array_equal(_phase_table(eigenvalues, cfg, inverse),
+        np.testing.assert_array_equal(_evolution_table(eigenvalues, cfg, inverse),
                                       _unmemoized_table(eigenvalues, cfg, inverse))
         np.testing.assert_array_equal(_pass_constants(eigenvalues, cfg)[2],
                                       clock_window(t, window))
@@ -817,7 +833,7 @@ def test_inverse_evolution_undoes_forward_at_long_clock():
     back = conditional_evolution(there, eig, cfg, inverse=True)
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= TOL
     # The same phases through the plain einsums give the same state.
-    phases = _phase_table(eig.eigenvalues, cfg, inverse=False).T
+    phases = _evolution_table(eig.eigenvalues, cfg, inverse=False).T
     ref = _ref_conditional_evolution(state, eig, cfg, phases=phases).amplitudes
     out = _evolve_in_system_basis(state, eig, cfg, order="F")[0]
     assert np.max(np.abs(out.amplitudes - ref)) <= TOL
@@ -866,7 +882,7 @@ def test_table_error_is_no_larger_than_direct_exp(seed):
     cos, sin = np.cos(theta), np.sin(theta)
     for inverse in (False, True):
         exact = (cos, sin if inverse else -sin)
-        table_error = _max_error(_phase_table(eigenvalues, cfg, inverse), exact)
+        table_error = _max_error(_evolution_table(eigenvalues, cfg, inverse), exact)
         direct_error = _max_error(_direct_phases(eigenvalues, cfg, inverse).T, exact)
         assert table_error <= direct_error
         # Long-double arguments: far below one float64 rounding of pi*T.
@@ -889,11 +905,31 @@ def test_reflection_allocates_one_state():
     assert peak < 1.25 * state.amplitudes.nbytes
 
 
+def test_evolution_allocates_one_state():
+    # Each row block writes its phase rows into its output rows: no D x T
+    # table beside the output.
+    rng = np.random.default_rng(9)
+    state = _full_state(rng, LONG_CLOCK, LONG_DIM, "F")
+    eig = _random_eig(rng, LONG_DIM)
+    cfg = _long_clock_config(eig.eigenvalues)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = conditional_evolution(state, eig, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert _clock_contiguous(out)
+    assert peak < 1.25 * state.amplitudes.nbytes
+
+
 def test_pass_keeps_no_dead_full_size_array():
-    # A T = 65536, D = 8 pass peaks at about 3.5 states, in the inverse
-    # evolution: the kept branch, the inverse QFT's output, the evolution's
-    # output and half a state of phase table.  An array the pass has
-    # finished with but still references adds a whole state to that.
+    # A T = 65536, D = 8 pass peaks at about 3.1 states, in the inverse
+    # evolution: the kept branch, the inverse QFT's output and the
+    # evolution's output, whose row blocks write their phase rows in place.
+    # An array the pass has finished with but still references adds a
+    # whole state to that.
     rng = np.random.default_rng(13)
     op = embed(random_complex_matrix(rng, 6, 2, kappa_max=4.0))
     eig = eig_hermitian(op)
@@ -912,7 +948,7 @@ def test_pass_keeps_no_dead_full_size_array():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * state.amplitudes.nbytes
+    assert peak < 3.4 * state.amplitudes.nbytes
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -920,7 +956,7 @@ def test_pass_keeps_no_dead_full_size_array():
 def test_passes_hand_on_vectors_and_hold_no_dead_state():
     # A long-clock run holds only system vectors between its passes, and
     # each pass frees the input state built for it before its stages
-    # allocate, so the run peaks where one pass does, at about 3.5 states.
+    # allocate, so the run peaks where one pass does, at about 3.2 states.
     # Any state a caller keeps alive through a pass adds a whole one.
     state_bytes = LONG_CLOCK * LONG_DIM * 2 * np.dtype(complex).itemsize
     for variant in (VARIANT_FUSED, VARIANT_THREE_STAGE):
@@ -933,4 +969,4 @@ def test_passes_hand_on_vectors_and_hold_no_dead_state():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 4.0 * state_bytes, (variant, peak / state_bytes)
+        assert peak < 3.4 * state_bytes, (variant, peak / state_bytes)
