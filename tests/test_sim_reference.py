@@ -31,8 +31,9 @@ the evolution must each allocate about one state, a pass must hold no
 full-size array it has finished with, and a run no state between its
 passes.
 The memoized pass constants must give every phase table, read through
-the evolution, and every window bit for bit as a build without the memo, in any order of queries, stay
-read-only, and be built once per distinct operator of a run.  Most are
+the evolution, and every window bit for bit as a build without the
+memo, in any order of queries, stay read-only, and be built once per
+distinct operator of a run.  Most are
 hypothesis property tests; the module is skipped where hypothesis is not
 installed.
 """
