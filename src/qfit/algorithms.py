@@ -21,9 +21,10 @@ and swap-tests it against the data state.  The reported ``eBound`` is
 a point estimate, not a bound that holds with probability 1 - delta.  The
 exact normalized residual 1 - overlap^2 is attached for reference.
 
-Learning samples the parameter state to find the heaviest support,
-refits on that support alone, reconstructs the reduced parameter state
-by tomography, and reports quality from that same reduced preparation.
+Learning samples the parameter state to find the heaviest support and
+refits on that support alone: its fit report is ``estimate_fit_quality``
+of the reduced problem, and tomography reconstructs the reduced parameter
+state from that report's preparation.
 """
 
 from __future__ import annotations
@@ -111,12 +112,17 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class PreparationResult:
-    """The unit system vector the last preparation pass returned, plus diagnostics."""
+    """The unit system vector the last preparation pass returned, plus diagnostics.
+
+    ``eig`` and ``spec`` are the eigensystem and stage configs its passes ran on.
+    """
 
     system_vector: np.ndarray
     passes: tuple[PhaseEstimationPass, ...]
     fidelity_vs_oracle: float
     solution: FitSolution
+    eig: EigDecomposition
+    spec: PipelineSpec
 
 
 def auto_t0(sigma_max: float, kappa: float, epsilon: float, clock_size: int) -> float:
@@ -207,6 +213,8 @@ def prepare_fit_parameters(
         passes=tuple(passes),
         fidelity_vs_oracle=fidelity,
         solution=solution,
+        eig=eig,
+        spec=spec,
     )
 
 
@@ -215,7 +223,11 @@ def prepare_fit_parameters(
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything a quality-estimation run measured and assumed."""
+    """Everything a quality-estimation run measured and assumed.
+
+    ``preparation`` is the preparation the projection pass started from,
+    None when the fit is degenerate.
+    """
 
     overlap_sq_estimate: float
     std_error: float
@@ -229,81 +241,47 @@ class FitReport:
     plan: SwapTestPlan
     cost: CostReport
     settings: RunSettings
+    preparation: PreparationResult | None
 
 
-def _cost(
-    problem: FitProblem, epsilon: float, delta: float, algorithm: str, m_prime: int
-) -> CostReport:
-    cond = condition_estimate(problem.design_matrix)
-    return cost_model(
+def _prepare(
+    problem: FitProblem, settings: RunSettings, delta: float, algorithm: str, m_prime: int
+) -> tuple[PreparationResult | None, CostReport]:
+    """Price, embed and eigensolve ``problem``, then run its preparation passes.
+
+    Returns ``(prep, cost)``.  When y is orthogonal to the column space of F
+    (|F^dag y| < 1e-12) the fitted state is unreachable, since its
+    postselection succeeds with probability exactly zero: no pass runs and
+    ``prep`` is None.  The cost model is priced first, so settings it cannot
+    price fail before any pass.
+    """
+    cost = cost_model(
         CostQuery(
             n=max(problem.n, 2),
             s=sparsity_profile(problem.design_matrix),
-            kappa=max(cond.kappa, 1.0),
-            epsilon=epsilon,
+            kappa=max(condition_estimate(problem.design_matrix).kappa, 1.0),
+            epsilon=settings.epsilon,
             delta=delta,
             m_prime=m_prime,
             algorithm=algorithm,
         )
     )
-
-
-def _prepare(
-    problem: FitProblem,
-    settings: RunSettings,
-    delta: float,
-    algorithm: str,
-    m_prime: int,
-    support: tuple[int, ...] | None,
-):
-    """Price, embed and eigensolve ``problem``, then run its preparation passes.
-
-    Returns ``(prep, cost, eig, spec)``.  When y is orthogonal to the
-    column space of F (|F^dag y| < 1e-12) the fitted state is unreachable,
-    since its postselection succeeds with probability exactly zero: with
-    ``support`` None, ``spec`` and ``prep`` are then None; otherwise no pass
-    runs and a PostselectionError names the support.  The cost model is
-    priced first, so settings it cannot price fail before any pass.
-    """
-    cost = _cost(problem, settings.epsilon, delta, algorithm, m_prime)
     eig = eig_hermitian(embed(problem.design_matrix))
     if np.linalg.norm(problem.design_matrix.conj().T @ problem.y) < 1e-12:
-        if support is not None:
-            raise PostselectionError(
-                f"y is orthogonal to the fit functions of support {support} "
-                "(F^dag y = 0); their fitted state is unreachable"
-            )
-        return None, cost, eig, None
+        return None, cost
     spec = make_pipeline_spec(eig, settings)
-    return prepare_fit_parameters(problem, spec, eig=eig), cost, eig, spec
+    return prepare_fit_parameters(problem, spec, eig=eig), cost
 
 
 def estimate_fit_quality(
     problem: FitProblem, settings: RunSettings, plan: SwapTestPlan
 ) -> FitReport:
-    """Prepare the fitted state, swap-test it against the data, report.
+    """Prepare the fitted state, project it, swap-test it against the data, report.
 
     If y is orthogonal to the column space of F the report samples the
     swap test at its known p1 = 1/2 and flags the degeneracy.
     """
-    prepared = _prepare(problem, settings, plan.delta, ALG_QUALITY, 1, None)
-    return _report_fit_quality(problem, settings, plan, *prepared)
-
-
-def _report_fit_quality(
-    problem: FitProblem,
-    settings: RunSettings,
-    plan: SwapTestPlan,
-    prep: PreparationResult | None,
-    cost: CostReport,
-    eig: EigDecomposition,
-    spec: PipelineSpec | None,
-) -> FitReport:
-    """Project a prepared parameter state, swap-test it against y, report.
-
-    ``prep`` (with its ``spec``) is None for a degenerate problem; ``cost``
-    is the quality-estimation cost of ``problem``.
-    """
+    prep, cost = _prepare(problem, settings, plan.delta, ALG_QUALITY, 1)
     y_vec = data_state_vector(problem)
     if prep is None:
         fitted_vec = np.zeros_like(y_vec)
@@ -312,11 +290,11 @@ def _report_fit_quality(
         lambda_fidelity = float("nan")
     else:
         project_config = replace(
-            spec.stages[0],
+            prep.spec.stages[0],
             mode=MODE_MULTIPLY,
-            rotation_scale=default_rotation_scale(MODE_MULTIPLY, eig.eigenvalues),
+            rotation_scale=default_rotation_scale(MODE_MULTIPLY, prep.eig.eigenvalues),
         )
-        fitted_vec, project_info = _run_pass(prep.system_vector, eig, project_config)
+        fitted_vec, project_info = _run_pass(prep.system_vector, prep.eig, project_config)
         passes = prep.passes + (project_info,)
         lambda_fidelity = prep.fidelity_vs_oracle
 
@@ -346,6 +324,7 @@ def _report_fit_quality(
         plan=plan,
         cost=cost,
         settings=settings,
+        preparation=prep,
     )
 
 
@@ -384,6 +363,13 @@ def select_support(counts: np.ndarray, m_prime: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in order[:m_prime]))
 
 
+def _unreachable(support: tuple[int, ...]) -> PostselectionError:
+    return PostselectionError(
+        f"y is orthogonal to the fit functions of support {support} "
+        "(F^dag y = 0); their fitted state is unreachable"
+    )
+
+
 def learn_sparse_fit(
     problem: FitProblem,
     m_prime: int,
@@ -396,10 +382,12 @@ def learn_sparse_fit(
 ) -> LearnReport:
     """Find the m' most relevant fit functions, refit, and reconstruct.
 
+    The fit report is ``estimate_fit_quality`` of the reduced problem, and
+    tomography reads the reduced state from that report's preparation.
     The full and the reduced problem are each priced before their own
     passes, so settings the cost model cannot price fail before that work.
-    Either is refused before its passes when y is orthogonal to its fit
-    functions.  A tomography epsilon above 1 / tomography.REFERENCE_FACTOR,
+    Either is refused, with no pass of its own run, when y is orthogonal to
+    its fit functions.  A tomography epsilon above 1 / tomography.REFERENCE_FACTOR,
     which no reference amplitude can meet, is refused before the first pass.
     """
     if not 1 <= m_prime <= problem.m:
@@ -412,9 +400,9 @@ def learn_sparse_fit(
             f"tomography epsilon {budget.epsilon:g} exceeds {1 / tomography.REFERENCE_FACTOR:g}: "
             f"the reference amplitude, at most 1, must reach {tomography.REFERENCE_FACTOR:g}*eps"
         )
-    prep, cost, *_ = _prepare(
-        problem, settings, plan.delta, ALG_LEARN, m_prime, tuple(range(problem.m))
-    )
+    prep, cost = _prepare(problem, settings, plan.delta, ALG_LEARN, m_prime)
+    if prep is None:
+        raise _unreachable(tuple(range(problem.m)))
 
     histogram = measure_computational(
         prep.system_vector, shots, derive_seed(seed, STREAM_SUPPORT)
@@ -423,8 +411,10 @@ def learn_sparse_fit(
     support = select_support(param_counts, m_prime)
 
     reduced = restrict_columns(problem, support)  # raises if F'^dag F' singular
-    prepared = _prepare(reduced, settings, plan.delta, ALG_QUALITY, 1, support)
-    red_prep = prepared[0]
+    fit_report = estimate_fit_quality(reduced, settings, plan)
+    red_prep = fit_report.preparation
+    if red_prep is None:
+        raise _unreachable(support)
 
     param_vec = red_prep.system_vector[:m_prime]
     param_norm = np.linalg.norm(param_vec)
@@ -440,7 +430,6 @@ def learn_sparse_fit(
         lambda: param_vec, budget, derive_seed(seed, STREAM_TOMOGRAPHY), oracle=oracle_dir
     )
 
-    fit_report = _report_fit_quality(reduced, settings, plan, *prepared)
     full_residual = prep.solution.residual_energy
     reduced_residual = red_prep.solution.residual_energy
     return LearnReport(

@@ -33,6 +33,10 @@ from .exceptions import DimensionError, SchemaError, SingularMatrixError
 # Largest embedded operator the dense eigensolver path is meant for.
 DEFAULT_DIM_CAP = 64
 
+# Most complex entries a design matrix may hold (256 MiB): room for N = 2^16
+# data points with M = 16 fit functions, and for n x n problems up to n = 4096.
+MAX_MATRIX_ENTRIES = 2**24
+
 # Singular values below this are treated as exact zeros.
 SINGULAR_TOL = 1e-12
 
@@ -235,6 +239,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise SchemaError(f"matrix object needs integer rows/cols, got {rows!r}, {cols!r}")
     if rows < 1 or cols < 1:
         raise SchemaError("matrix dimensions must be positive")
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise SchemaError(
+            f"a {rows} x {cols} matrix exceeds the limit of {MAX_MATRIX_ENTRIES} entries"
+        )
     if "entries" in obj:
         entries = _complex_from_pairs(obj["entries"], "matrix entries")
         if entries.size != rows * cols:

@@ -234,10 +234,10 @@ def generate_problem(spec: ProblemSpec, seed: int) -> FitProblem:
     if spec.m < 1 or spec.n < spec.m:
         raise GenerationError(f"need n >= m >= 1, got n={spec.n}, m={spec.m}")
     entries = spec.n * (spec.n if spec.kind in ("random", "identity") else spec.m)
-    if entries > np.iinfo(np.intp).max // 16:
+    if entries > linalg.MAX_MATRIX_ENTRIES:
         raise GenerationError(
-            f"a {spec.kind} problem with n={spec.n}, m={spec.m} needs a complex array "
-            f"of {entries} entries, more than numpy can size"
+            f"a {spec.kind} problem with n={spec.n}, m={spec.m} draws a matrix of "
+            f"{entries} entries, more than the limit of {linalg.MAX_MATRIX_ENTRIES}"
         )
     if not (math.isfinite(spec.noise) and spec.noise >= 0):
         raise GenerationError(f"noise must be finite and >= 0, got {spec.noise}")

@@ -364,7 +364,8 @@ class TestLearnSparseFit:
         assert len(obj["settingRecords"]) >= 3
 
     def test_each_pass_eigensolve_and_oracle_solve_runs_once(self, monkeypatch):
-        calls = {"apply_hermitian_via_pe": 0, "eig_hermitian": 0, "classical_fit": 0}
+        calls = {"apply_hermitian_via_pe": 0, "eig_hermitian": 0, "classical_fit": 0,
+                 "estimate_fit_quality": 0}
         for name in calls:
             original = getattr(qfit.algorithms, name)
 
@@ -388,8 +389,10 @@ class TestLearnSparseFit:
         report = learn_sparse_fit(
             self.planted(seed=21), 2, self.settings(), SwapTestPlan(shots=500, seed=5), seed=21
         )
-        # 3 passes on the full problem, 3 on the reduced one, 1 projection.
-        assert calls == {"apply_hermitian_via_pe": 7, "eig_hermitian": 2, "classical_fit": 2}
+        # 3 passes on the full problem, 3 on the reduced one, 1 projection; the
+        # fit report is the one quality estimate of the reduced problem.
+        assert calls == {"apply_hermitian_via_pe": 7, "eig_hermitian": 2, "classical_fit": 2,
+                         "estimate_fit_quality": 1}
         assert report.preparations_consumed == prepared == report.budget.settings
 
     def test_fit_report_is_the_reduced_problems_quality_report(self):
@@ -431,23 +434,27 @@ class TestLearnSparseFit:
     def test_reduced_parameter_sector_without_weight_is_refused(self, monkeypatch):
         # A reduced preparation whose parameter sector is exactly zero has no
         # direction to reconstruct: refused before tomography divides by its norm.
+        # The projection pass runs first, so the zeroed vector is renormalized
+        # onto its data sector to stay a unit state.
         prepare = qfit.algorithms._prepare
-        supports = []
+        problems = []
 
-        def zero_reduced_parameters(problem, settings, delta, algorithm, m_prime, support):
-            prep, *rest = prepare(problem, settings, delta, algorithm, m_prime, support)
-            supports.append(support)
-            if len(supports) == 2:
+        def zero_reduced_parameters(problem, settings, delta, algorithm, m_prime):
+            prep, cost = prepare(problem, settings, delta, algorithm, m_prime)
+            problems.append(problem)
+            if len(problems) == 2:
                 vector = prep.system_vector.copy()
                 vector[: problem.m] = 0
-                prep = replace(prep, system_vector=vector)
-            return (prep, *rest)
+                prep = replace(prep, system_vector=vector / np.linalg.norm(vector))
+            return prep, cost
 
         monkeypatch.setattr(qfit.algorithms, "_prepare", zero_reduced_parameters)
+        full = self.planted(seed=21)
         with pytest.raises(PostselectionError, match="reduced parameter sector carries no weight"):
-            learn_sparse_fit(self.planted(seed=21), 2, self.settings(),
-                             SwapTestPlan(shots=500, seed=5), seed=21)
-        assert supports == [tuple(range(8)), (2, 5)]
+            learn_sparse_fit(full, 2, self.settings(), SwapTestPlan(shots=500, seed=5), seed=21)
+        assert problems[0] is full and len(problems) == 2
+        assert np.array_equal(problems[1].design_matrix,
+                              restrict_columns(full, (2, 5)).design_matrix)
 
 
 class TestWideProblem:

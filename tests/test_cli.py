@@ -436,6 +436,32 @@ class TestErrorBoundary:
         assert "10000000000" in payload["message"]
         assert not out.exists()
 
+    def test_generate_over_the_matrix_entry_limit_fails_with_generation_error_json(
+            self, runner, tmp_path):
+        # A random problem draws an n x n matrix: 4097^2 entries exceed 2^24.
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["generate", "--kind", "random", "--n", "4097",
+                                      "--m", "2", "--out", str(out)])
+        payload = error_payload(result)
+        assert payload["error"] == "GenerationError"
+        assert "n=4097" in payload["message"]
+        assert not out.exists()
+
+    def test_problem_file_asking_for_a_huge_matrix_fails_with_schema_error_json(
+            self, runner, tmp_path):
+        # A few bytes ask for 4097 x 4097 complex entries (268 MB): refused
+        # before the matrix is allocated, not after it, at the missing yVector.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "schemaVersion": 1, "dataSet": {"x": [[0.0, 0.0]], "y": [[1.0, 0.0]]}, "basis": {},
+            "designMatrix": {"rows": 4097, "cols": 4097, "triplets": []},
+        }))
+        result = runner.invoke(main, ["run", "--problem", str(path), "-T", "64"])
+        assert result.stdout == ""
+        payload = error_payload(result)
+        assert payload["error"] == "SchemaError"
+        assert "4097 x 4097" in payload["message"]
+
     def test_memory_error_fails_with_error_json(self, runner, monkeypatch):
         def refuse(spec, seed):
             raise MemoryError("Unable to allocate 149. GiB")

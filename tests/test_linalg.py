@@ -1,5 +1,7 @@
 """Dense linear algebra: embedding, pseudoinverse, spectral operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,17 @@ class TestMatrixJson:
     def test_missing_payload(self):
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 1, "cols": 1})
+
+    def test_matrix_over_the_entry_limit_is_refused_before_allocating(self):
+        # 4097^2 complex entries would take 268 MB; the bound is 4096^2 = 2^24.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="4097 x 4097"):
+                matrix_from_json({"rows": 4097, "cols": 4097, "triplets": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("obj", [
         pytest.param({"rows": 2.9, "cols": 1, "triplets": []}, id="rows-float"),

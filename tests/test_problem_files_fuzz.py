@@ -129,12 +129,11 @@ def test_damaged_problem_file_loads_consistently_or_raises_qfit_error(which, cou
 
 # Objects take the keys of matrix and problem objects often, or a matrix's
 # counts with any payload, so that draws get past the loaders' first
-# lookups.  Integers are small, or too large for any array: a triplet
-# matrix is allocated at rows x cols before its triplets are read, so a pair
-# of counts in between would take the host's memory.
+# lookups.  Integers are small or large: a pair of large counts must be
+# refused by the loaders' size bound before anything is allocated.
 KEYS = ("rows", "cols", "entries", "triplets", "schemaVersion", "dataSet", "x", "y",
         "basis", "kind", "m", "designMatrix", "yVector", "normScale", "seed")
-INTEGERS = st.integers(-2, 4) | st.sampled_from([2**62, 10**400])
+INTEGERS = st.integers(-2, 4) | st.sampled_from([30000, 2**31, 2**62, 10**400])
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=4)
     | st.sampled_from(KEYS),
