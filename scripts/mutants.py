@@ -1,6 +1,6 @@
 """Check that tier-1 kills every mutant of a fixed catalogue.
 
-    python3 scripts/mutants.py [--timeout SECONDS]
+    python3 scripts/mutants.py
 
 Each mutant is (file, exact old text, new text, reason): a guard or rule of
 ``src/qfit`` that some tier-1 test must hold.  The script copies ``src``,
@@ -8,7 +8,7 @@ Each mutant is (file, exact old text, new text, reason): a guard or rule of
 once, then, for each mutant alone, writes its new text over its old text
 there and runs tier-1 with ``-x``.  A mutant is killed when a test fails.  Prints one line
 per mutant with its kill time and the first failing test, and exits 1 if a
-mutant survives, if its run outlasts ``--timeout`` or ends without a failing
+mutant survives, if its run outlasts ``TIMEOUT`` seconds or ends without a failing
 test, or if an old text does not occur exactly once in its file.  So a
 change that moves guarded code must re-target its mutants here, and one
 that deletes it must retire them.
@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 TIER1 = ("-X", "dev", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
+# Seconds one mutant's tier-1 run may take; a whole run takes under a minute.
+TIMEOUT = 300.0
 
 
 class Mutant(NamedTuple):
@@ -126,10 +128,8 @@ def run_mutant(copy: Path, mutant: Mutant, timeout: float) -> tuple[str, float, 
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds one mutant's tier-1 run may take")
-    args = parser.parse_args()
+    # No options: this only answers --help and refuses unknown arguments.
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     faults = check_targets()
     if faults:
         print("\n".join(faults))
@@ -142,7 +142,7 @@ def main() -> int:
             shutil.copytree(REPO / name, copy / name, ignore=ignore)
         shutil.copy2(REPO / "pyproject.toml", copy / "pyproject.toml")
         for mutant in CATALOGUE:
-            verdict, seconds, detail = run_mutant(copy, mutant, args.timeout)
+            verdict, seconds, detail = run_mutant(copy, mutant, TIMEOUT)
             bad += verdict != "killed"
             print(f"{verdict:>9} in {seconds:6.1f} s  {mutant.path}: {mutant.reason}", flush=True)
             if detail:
