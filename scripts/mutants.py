@@ -89,6 +89,25 @@ CATALOGUE = (
            "if rows * cols > MAX_MATRIX_ENTRIES:",
            "if rows * cols > 2 * MAX_MATRIX_ENTRIES:",
            "matrix_from_json's size bound doubled"),
+    Mutant("src/qfit/sim.py",
+           "    del state  # a temporary input dies here, before the evolution allocates\n",
+           "",
+           "uncompute_clock holds its input through the inverse evolution"),
+    Mutant("src/qfit/sim.py",
+           "    s = uncompute_clock(_rotated_flag_one(qft_clock(conditional_evolution(\n"
+           "        _windowed_state(vecs.conj().T @ psi_in, window, layout), eig, config),\n"
+           "        \"forward\"), config), eig, config)\n",
+           "    s = _rotated_flag_one(qft_clock(conditional_evolution(\n"
+           "        _windowed_state(vecs.conj().T @ psi_in, window, layout), eig, config),\n"
+           "        \"forward\"), config)\n"
+           "    s = uncompute_clock(s, eig, config)\n",
+           "the pass holds the rotated state through the uncompute"),
+    Mutant("src/qfit/sim.py",
+           "        for f in range(2):\n"
+           "            if f not in live:\n"
+           "                out[f, r] = 0\n",
+           "",
+           "row blocks leave their rows of the dead flag slices unwritten"),
 )
 
 

@@ -40,9 +40,17 @@ basis above, so a pass returns the unit system vector.  It takes a state
 only for perfbench's pass hook and releases it once it has read psi and
 the layout: from CPython 3.11, which moves a call's arguments into the
 callee, a temporary input state dies before the pass allocates.  Inside
-a pass the system register is held in H's eigenbasis: every stage but
-the two evolutions acts only on the clock and the flag, so the whole
-pass commutes with the change of basis.  The pass maps psi into the
+a pass, likewise, no stage holds more than its input and its output.
+The pass nests its stage calls, so each intermediate state is a
+temporary that dies when the stage reading it returns, and
+``uncompute_clock`` drops its input after its inverse QFT; a pass then
+peaks at about two states.  The rule needs CPython >= 3.11: on 3.10 a
+call's arguments live until it returns, so the kept flag-1 branch lives
+through the whole uncompute, a third state.
+
+Inside a pass the system register is held in H's eigenbasis: every
+stage but the two evolutions acts only on the clock and the flag, so the
+whole pass commutes with the change of basis.  The pass maps psi into the
 eigenbasis once (V^dag psi, one D x D product), runs every stage on
 those coordinates and maps the surviving clock-0, flag-1 row back once
 (V times that row).  There the evolutions are diagonal phase products;
@@ -615,6 +623,7 @@ def uncompute_clock(
     |0>; otherwise the weight left outside |0> measures the leakage.
     """
     s = qft_clock(state, "inverse")
+    del state  # a temporary input dies here, before the evolution allocates
     s = conditional_evolution(s, eig, config, inverse=True)
     return reflect_clock_window(s, _pass_constants(eig.eigenvalues, config)[2])
 
@@ -727,14 +736,14 @@ def apply_hermitian_via_pe(
     del state
     vecs = eig.eigenvectors
 
-    # Each stage rebinds ``s``: a full-size array still referenced after
-    # the stage that consumes it would add a whole state to the peak.
+    # The stage calls nest, so each intermediate state is a temporary that
+    # dies when the stage reading it returns, or earlier if that stage
+    # deletes it: no stage holds more than its input and its output.  A
+    # local bound to one would add a whole state to the peak.
     window = _pass_constants(eig.eigenvalues, config)[2]
-    s = _windowed_state(vecs.conj().T @ psi_in, window, layout)
-    s = conditional_evolution(s, eig, config)
-    s = qft_clock(s, "forward")
-    s = _rotated_flag_one(s, config)
-    s = uncompute_clock(s, eig, config)
+    s = uncompute_clock(_rotated_flag_one(qft_clock(conditional_evolution(
+        _windowed_state(vecs.conj().T @ psi_in, window, layout), eig, config),
+        "forward"), config), eig, config)
 
     branch = s.amplitudes.T[1]  # clock-contiguous (D, T)
     flag_prob = _branch_probability(branch, "flag=1")
