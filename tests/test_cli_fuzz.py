@@ -17,7 +17,8 @@ needs no draw here: ``generate`` refuses a matrix of more than
 ``linalg.MAX_MATRIX_ENTRIES`` entries with a GenerationError before any
 draw, which tests/test_cli.py checks.  QFIT_SEED is drawn only as an
 integer, and every problem file is valid JSON: a non-integer QFIT_SEED
-and a non-JSON problem file still end in a traceback.  The module is skipped where hypothesis is not installed.
+and a non-JSON problem file still end in a traceback.  The module is
+skipped where hypothesis is not installed.
 """
 
 import csv
